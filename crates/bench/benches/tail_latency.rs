@@ -11,10 +11,11 @@
 //! * **sync** — one sync `Engine` with one shard per worker and a
 //!   `TableRouter` landing tenant `t` on shard `t % W`: the classic
 //!   consolidation — one intake thread, all six hot tenants funnelling
-//!   into a single shard worker, intake stalling at the bounded channel.
+//!   into a single shard worker, intake stalling at that shard's
+//!   admission bound.
 //! * **async** — a `Fleet` hosting each tenant as its own `AsyncEngine`
 //!   core, pinned `t % W` (same co-location), stealing off: same
-//!   head-of-line blocking, now through the admission bound.
+//!   head-of-line blocking, now spread over six cores' admission bounds.
 //! * **async+steal** — stealing on: when the hot home is genuinely
 //!   stuck (a front task older than the steal patience — in practice,
 //!   behind one core's rebuild spike), idle workers pull its queued
@@ -22,8 +23,8 @@
 //!   the spike.
 //!
 //! The observable is the *intake stall* histogram — nanoseconds the
-//! producer spent blocked because the shard's queue (sync) or the
-//! core's admission bound (async) was full — which is exactly the
+//! producer spent blocked because a core's admission bound was full
+//! (both facades ship through the same bound) — which is exactly the
 //! latency a caller feels at `insert`. The acceptance bar (ISSUE 10):
 //! **async+steal p99 intake stall ≤ 50% of the sync p99**, PASS/FAIL
 //! printed, the run exported as `BENCH_tail_latency.json` (re-parsed

@@ -38,7 +38,9 @@ struct Slot<T> {
 
 /// The fulfilment half of a one-shot slot, created by [`channel`].
 pub struct Sender<T> {
-    slot: Arc<Slot<T>>,
+    /// Taken by [`send`](Sender::send), so `Drop` only acts on a sender
+    /// that never sent.
+    slot: Option<Arc<Slot<T>>>,
 }
 
 /// The completion future half of a one-shot slot, created by [`channel`].
@@ -68,16 +70,22 @@ pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let slot = Arc::new(Slot {
         state: Mutex::new(State::Empty(None)),
     });
-    (Sender { slot: slot.clone() }, Receiver { slot })
+    (
+        Sender {
+            slot: Some(slot.clone()),
+        },
+        Receiver { slot },
+    )
 }
 
 impl<T> Sender<T> {
     /// Delivers `value`, waking the receiver if it is parked in a poll.
     /// A receiver that was already dropped makes this a silent no-op —
     /// completion slots outlive dropped futures by design.
-    pub fn send(self, value: T) {
+    pub fn send(mut self, value: T) {
+        let slot = self.slot.take().expect("an unsent sender holds its slot");
         let waker = {
-            let mut state = self.slot.state.lock().expect("one-shot slot poisoned");
+            let mut state = slot.state.lock().expect("one-shot slot poisoned");
             match std::mem::replace(&mut *state, State::Filled(value)) {
                 State::Empty(waker) => waker,
                 State::Closed => {
@@ -94,19 +102,19 @@ impl<T> Sender<T> {
         if let Some(waker) = waker {
             waker.wake();
         }
-        // Skip the Drop impl: the state is already terminal.
-        std::mem::forget(self);
     }
 }
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
+        let Some(slot) = self.slot.take() else {
+            return; // sent
+        };
         let waker = {
-            let mut state = self.slot.state.lock().expect("one-shot slot poisoned");
+            let mut state = slot.state.lock().expect("one-shot slot poisoned");
             match std::mem::replace(&mut *state, State::SenderGone) {
                 State::Empty(waker) => waker,
-                // Receiver already gone (or value already delivered via
-                // `send`'s forget path — impossible here, but harmless).
+                // The receiver is already gone.
                 other => {
                     *state = other;
                     None
@@ -213,6 +221,15 @@ mod tests {
         let (tx, rx) = channel::<u32>();
         drop(tx);
         assert_eq!(block_on(rx), Err(Dropped));
+    }
+
+    #[test]
+    fn a_delivered_slot_is_freed() {
+        let (tx, rx) = channel();
+        let slot = Arc::downgrade(&rx.slot);
+        tx.send(3u8);
+        assert_eq!(block_on(rx), Ok(3));
+        assert!(slot.upgrade().is_none(), "send leaked its slot");
     }
 
     #[test]

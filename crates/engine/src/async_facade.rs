@@ -1,5 +1,5 @@
-//! The async tenant handle: [`AsyncEngine`], the future-returning
-//! counterpart of the sync [`Engine`].
+//! The async tenant handle [`AsyncEngine`] — and the one intake both
+//! facades share.
 //!
 //! [`insert`](AsyncEngine::insert) / [`delete`](AsyncEngine::delete) /
 //! [`flush`](AsyncEngine::flush) return an [`Ack`] and
@@ -10,38 +10,41 @@
 //! [`realloc_common::block_on`], or drop them (a dropped future turns
 //! its fulfilment into a no-op; the request is still served).
 //!
-//! ## Observational equivalence with the sync engine
+//! ## One intake, two facades
 //!
-//! The facade replicates the sync engine's client-side batching *law*
-//! exactly — same full-batch fast path, same planned-flush watermark and
-//! fullest-buffer choice, same [`planned_take`](crate::Engine) split —
-//! so a given call sequence produces byte-identical per-core command
-//! streams, and the per-core apply sequence (see
-//! [`fleet`](crate::fleet)) serves them in the same order a dedicated
-//! shard thread would. Extents, substrate bytes, stats (including batch
-//! counts), ledgers, and the deterministic metrics projection therefore
-//! match the sync engine exactly; `tests/async_facade.rs` pins this
-//! property for all four registry variants. What does *not* match is
-//! scheduling: wall-clock histograms, intake stalls, and the
-//! [`StealStats`](crate::metrics::StealStats) block are excluded from
-//! metric equality for exactly that reason.
+//! `AsyncEngine` is the whole client side of serving: the router, the
+//! per-shard pending buffers and the batching law that ships them, the
+//! admission-bounded hand-off onto fleet queues, fences, the barrier
+//! fan-out and its aggregation, checkpoint router pins, and the metrics
+//! merge. The sync [`Engine`](crate::Engine) is one `AsyncEngine` tenant on a private
+//! [`Fleet`](crate::Fleet) and adds only what async tenants lack (online
+//! rebalancing, resizing, transfer sequencing, retired finals, the event
+//! journal). A given call sequence therefore produces byte-identical
+//! per-core command streams on either facade, and the per-core apply
+//! sequence (see [`fleet`](crate::fleet)) serves them in that order
+//! whichever worker runs them. Extents, substrate bytes, stats (including
+//! batch counts), ledgers, and the deterministic metrics projection match
+//! exactly; `tests/async_facade.rs` pins this for all four registry
+//! variants. What does *not* match is scheduling: wall-clock histograms,
+//! intake stalls, and the [`StealStats`](crate::metrics::StealStats)
+//! block are excluded from metric equality for exactly that reason.
 
 use std::future::Future;
 use std::path::{Path, PathBuf};
 use std::pin::Pin;
 use std::sync::{mpsc, Arc};
-use std::task::{Context, Poll};
+use std::task::{ready, Context, Poll};
 use std::time::Instant;
 
 use realloc_common::oneshot;
 use realloc_common::{block_on, BoxedReallocator, Extent, ObjectId, Router};
-use realloc_telemetry::Histogram;
+use realloc_telemetry::{EventJournal, Histogram};
 use workload_gen::Request;
 
-use crate::engine::{Engine, EngineConfig, EngineError};
+use crate::engine::{EngineConfig, EngineError};
 use crate::fleet::{CoreCell, FleetShared, StealTelemetry, Task, TaskCmd};
 use crate::metrics::MetricsSnapshot;
-use crate::shard::{Command, ShardFinal, ShardReply, ShardWorker};
+use crate::shard::{Command, ShardError, ShardFinal, ShardReply, ShardWorker};
 use crate::stats::EngineStats;
 use crate::substrate::{ShardBytes, SubstrateReport};
 
@@ -52,22 +55,14 @@ use crate::substrate::{ShardBytes, SubstrateReport};
 /// notification is discarded. If the fleet is torn down while tasks are
 /// still queued, orphaned acks resolve instead of hanging.
 pub struct Ack {
-    slots: Vec<Option<oneshot::Receiver<()>>>,
+    /// A request's own slot, kept out of `many` so a per-request ack
+    /// allocates nothing beyond the slot. `None` once resolved.
+    one: Option<oneshot::Receiver<()>>,
+    /// The unresolved slots of a multi-core ack (a fence per core).
+    many: Vec<oneshot::Receiver<()>>,
 }
 
 impl Ack {
-    fn one(rx: oneshot::Receiver<()>) -> Ack {
-        Ack {
-            slots: vec![Some(rx)],
-        }
-    }
-
-    fn many(rxs: Vec<oneshot::Receiver<()>>) -> Ack {
-        Ack {
-            slots: rxs.into_iter().map(Some).collect(),
-        }
-    }
-
     /// Blocks the current thread until the ack resolves (a
     /// [`block_on`] convenience).
     pub fn wait(self) {
@@ -78,19 +73,17 @@ impl Ack {
 impl Future for Ack {
     type Output = ();
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut done = true;
-        for slot in &mut self.slots {
-            if let Some(rx) = slot {
-                match Pin::new(rx).poll(cx) {
-                    // `Err(Dropped)` means the fleet died with the task
-                    // still queued — resolve rather than hang forever.
-                    Poll::Ready(_) => *slot = None,
-                    Poll::Pending => done = false,
-                }
-            }
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // A resolved slot is done whether it carries `Ok` or `Err(Dropped)`
+        // (the fleet died with the task still queued — resolve rather than
+        // hang forever).
+        let this = self.get_mut();
+        let mut pending = |rx: &mut oneshot::Receiver<()>| Pin::new(rx).poll(cx).is_pending();
+        if this.one.as_mut().is_some_and(|rx| !pending(rx)) {
+            this.one = None;
         }
-        if done {
+        this.many.retain_mut(|rx| pending(rx));
+        if this.one.is_none() && this.many.is_empty() {
             Poll::Ready(())
         } else {
             Poll::Pending
@@ -98,12 +91,23 @@ impl Future for Ack {
     }
 }
 
+/// A barrier's replies in shard order, once its acks have resolved. A core
+/// sends its reply inside `handle`, before its completion slot fires, so a
+/// missing reply means the core is gone.
+fn collect<T>(rxs: Vec<mpsc::Receiver<T>>) -> Result<Vec<T>, EngineError> {
+    rxs.into_iter()
+        .enumerate()
+        .map(|(shard, rx)| rx.try_recv().map_err(|_| EngineError::ShardDown { shard }))
+        .collect()
+}
+
 /// The future returned by [`AsyncEngine::quiesce`]: resolves to the same
 /// aggregated [`EngineStats`] (with the same error surfacing) the sync
 /// [`Engine::quiesce`](crate::Engine) barrier returns.
 pub struct QuiesceFuture {
     acks: Ack,
-    replies: Option<Vec<mpsc::Receiver<ShardReply>>>,
+    /// One reply channel per core; taken on completion.
+    replies: Vec<mpsc::Receiver<ShardReply>>,
 }
 
 impl QuiesceFuture {
@@ -117,25 +121,61 @@ impl Future for QuiesceFuture {
     type Output = Result<EngineStats, EngineError>;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match Pin::new(&mut self.acks).poll(cx) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready(()) => {
-                // Each core sends its reply inside `handle` before its
-                // completion slot fires, so the replies are already here.
-                let replies = self
-                    .replies
-                    .take()
-                    .expect("quiesce future polled after completion");
-                let mut out = Vec::with_capacity(replies.len());
-                for (shard, rx) in replies.into_iter().enumerate() {
-                    match rx.try_recv() {
-                        Ok(reply) => out.push(reply),
-                        Err(_) => return Poll::Ready(Err(EngineError::ShardDown { shard })),
-                    }
-                }
-                Poll::Ready(Engine::aggregate(out))
-            }
+        assert!(
+            !self.replies.is_empty(),
+            "quiesce future polled after completion"
+        );
+        ready!(Pin::new(&mut self.acks).poll(cx));
+        Poll::Ready(collect(std::mem::take(&mut self.replies)).and_then(aggregate))
+    }
+}
+
+/// The error-surfacing rule every barrier shares, over rows of `(shard,
+/// first rejected request, first substrate failure)`: both are sticky, a
+/// rejected request outranks a substrate failure, and within each kind
+/// the lowest-numbered shard wins.
+pub(crate) fn surface<'a>(
+    rows: impl Iterator<Item = (usize, &'a Option<ShardError>, &'a Option<String>)>,
+) -> Result<(), EngineError> {
+    let mut substrate = None;
+    for (shard, request, detail) in rows {
+        if let Some(err) = request {
+            return Err(EngineError::Request {
+                shard,
+                index: err.index,
+                error: err.error,
+            });
         }
+        if let Some(detail) = detail {
+            substrate.get_or_insert_with(|| EngineError::Substrate {
+                shard,
+                detail: detail.clone(),
+            });
+        }
+    }
+    substrate.map_or(Ok(()), Err)
+}
+
+/// Aggregates a stats barrier's replies, surfacing sticky errors first.
+fn aggregate(replies: Vec<ShardReply>) -> Result<EngineStats, EngineError> {
+    surface(
+        replies
+            .iter()
+            .map(|r| (r.stats.shard, &r.first_error, &r.first_substrate_error)),
+    )?;
+    Ok(EngineStats {
+        per_shard: replies.into_iter().map(|r| r.stats).collect(),
+    })
+}
+
+/// How much of an `n`-request buffer a planned flush ships: nothing
+/// below half a batch (let it keep filling), at most one batch, and
+/// everything in between ships whole.
+fn planned_take(n: usize, batch: usize) -> Option<usize> {
+    if n < batch / 2 {
+        None
+    } else {
+        Some(n.min(batch))
     }
 }
 
@@ -148,15 +188,16 @@ pub struct CoreHold<'a> {
 }
 
 /// One tenant's handle onto a [`Fleet`](crate::Fleet): the async
-/// counterpart of the sync [`Engine`], sharing its shard
-/// state machine, batching law, WAL format, and barrier semantics.
-/// Build one with [`Fleet::register`](crate::Fleet) (or the WAL'd /
-/// pinned variants).
+/// counterpart of the sync [`Engine`](crate::Engine), sharing its shard state machine,
+/// batching law, WAL format, and barrier semantics — they are this
+/// type's. Build one with [`Fleet::register`](crate::Fleet) (or the
+/// WAL'd / pinned variants).
 pub struct AsyncEngine {
     shared: Arc<FleetShared>,
     tenant: usize,
-    config: EngineConfig,
-    router: Box<dyn Router>,
+    /// `shards` tracks the number of cores as they are spawned and retired.
+    pub(crate) config: EngineConfig,
+    pub(crate) router: Box<dyn Router>,
     cores: Vec<Arc<CoreCell>>,
     /// Next apply-sequence number per core (one enqueuing handle per
     /// tenant, so a plain counter is the whole ordering story).
@@ -165,8 +206,8 @@ pub struct AsyncEngine {
     /// the requests in it (index-aligned).
     pending: Vec<Vec<Request>>,
     pending_slots: Vec<Vec<oneshot::Sender<()>>>,
-    /// Client-side intake-stall observations (empty without telemetry),
-    /// mirroring the sync engine's blocked-send accounting.
+    /// Client-side intake-stall observations, one histogram per core
+    /// (empty without telemetry): how long a ship blocked on a full core.
     stalls: Vec<Histogram>,
     steal: Arc<StealTelemetry>,
     wal_dir: Option<PathBuf>,
@@ -175,18 +216,16 @@ pub struct AsyncEngine {
 }
 
 impl AsyncEngine {
-    pub(crate) fn build<F>(
+    /// A tenant with no cores yet ([`spawn_core`](Self::spawn_core) adds
+    /// them). Panics on a zero shard/batch count or a router/config
+    /// shard-count mismatch.
+    pub(crate) fn new(
         shared: Arc<FleetShared>,
         tenant: usize,
         config: EngineConfig,
         router: Box<dyn Router>,
-        mut factory: F,
         wal_dir: Option<PathBuf>,
-        homes: &[usize],
-    ) -> Result<AsyncEngine, EngineError>
-    where
-        F: FnMut(usize) -> BoxedReallocator,
-    {
+    ) -> AsyncEngine {
         assert!(config.shards > 0, "engine needs at least one shard");
         assert!(config.batch > 0, "batch size must be positive");
         assert_eq!(
@@ -194,39 +233,88 @@ impl AsyncEngine {
             config.shards,
             "router and config disagree on the shard count"
         );
-        assert_eq!(homes.len(), config.shards, "one home worker per shard core");
-        let steal = Arc::new(StealTelemetry::new());
-        let mut cores = Vec::with_capacity(config.shards);
-        let mut stalls = Vec::new();
-        for (shard, &home) in homes.iter().enumerate() {
-            let worker = ShardWorker::build(&config, shard, factory(shard), wal_dir.as_deref(), 0)?;
-            cores.push(Arc::new(CoreCell::new(
-                worker,
-                home,
-                config.queue_depth.max(1),
-                Arc::clone(&steal),
-            )));
-            if config.telemetry {
-                stalls.push(Histogram::new());
-            }
-        }
-        Ok(AsyncEngine {
+        AsyncEngine {
             shared,
             tenant,
             config,
             router,
-            next_seq: vec![0; cores.len()],
-            pending: (0..cores.len())
-                .map(|_| Vec::with_capacity(config.batch))
-                .collect(),
-            pending_slots: (0..cores.len()).map(|_| Vec::new()).collect(),
-            cores,
-            stalls,
-            steal,
+            cores: Vec::new(),
+            next_seq: Vec::new(),
+            pending: Vec::new(),
+            pending_slots: Vec::new(),
+            stalls: Vec::new(),
+            steal: Arc::new(StealTelemetry::new()),
             wal_dir,
             scrapes: 0,
             last_metrics: None,
-        })
+        }
+    }
+
+    /// Builds the next shard's state machine (substrate, journal, and
+    /// telemetry as configured; `recoveries` seeds its recovery counter)
+    /// and parks it in a core homed on fleet worker `home`.
+    pub(crate) fn spawn_core(
+        &mut self,
+        realloc: BoxedReallocator,
+        home: usize,
+        recoveries: u64,
+    ) -> Result<(), EngineError> {
+        let shard = self.cores.len();
+        let worker = ShardWorker::build(
+            &self.config,
+            shard,
+            realloc,
+            self.wal_dir.as_deref(),
+            recoveries,
+        )?;
+        self.cores.push(self.core(Some(worker), home));
+        self.next_seq.push(0);
+        self.pending.push(Vec::with_capacity(self.config.batch));
+        self.pending_slots.push(Vec::new());
+        if self.config.telemetry {
+            self.stalls.push(Histogram::new());
+        }
+        self.config.shards = self.cores.len();
+        Ok(())
+    }
+
+    /// Retires the highest-numbered core through a final `Finish` barrier
+    /// (its closing checkpoint pins nothing: the caller has drained it).
+    pub(crate) fn retire_core(&mut self) -> Result<ShardFinal, EngineError> {
+        let shard = self.cores.len() - 1;
+        let fin = self
+            .request(shard, |reply| Command::Finish {
+                reply,
+                pins: Vec::new(),
+            })
+            .recv()
+            .map_err(|_| EngineError::ShardDown { shard })?;
+        self.cores.pop();
+        self.next_seq.pop();
+        self.pending.pop();
+        self.pending_slots.pop();
+        self.stalls.truncate(self.cores.len());
+        self.config.shards = self.cores.len();
+        Ok(fin)
+    }
+
+    /// Moves every core onto `shared`'s worker queues, core `i` homed on
+    /// worker `i`. Everything already enqueued is applied first, so no
+    /// task is left behind on the old queues.
+    pub(crate) fn rehost(&mut self, shared: Arc<FleetShared>) {
+        block_on(self.fence_all());
+        for (home, old) in std::mem::take(&mut self.cores).iter().enumerate() {
+            let worker = old.state.lock().expect("core state poisoned").worker.take();
+            self.cores.push(self.core(worker, home));
+        }
+        self.next_seq.fill(0);
+        self.shared = shared;
+    }
+
+    /// A core cell for `worker` on fleet worker `home`, apply sequence at 0.
+    fn core(&self, worker: Option<ShardWorker>, home: usize) -> Arc<CoreCell> {
+        let depth = self.config.queue_depth.max(1);
+        Arc::new(CoreCell::new(worker, home, depth, Arc::clone(&self.steal)))
     }
 
     /// The fleet-assigned tenant ordinal (registration order).
@@ -265,63 +353,77 @@ impl AsyncEngine {
     /// client-side buffer resolves only once a full batch, a
     /// [`flush`](AsyncEngine::flush), or a barrier ships it; awaiting an
     /// `Ack` without a flush point in between can therefore block
-    /// forever, exactly as a sync caller blocking on an unflushed
-    /// buffer would. Like the sync engine, a rejection by the
-    /// reallocator (e.g. a duplicate id) surfaces at the next barrier,
-    /// not here.
+    /// forever. A rejection by the reallocator (e.g. a duplicate id)
+    /// surfaces at the next barrier, not here.
     pub fn insert(&mut self, id: ObjectId, size: u64) -> Ack {
-        self.enqueue(Request::Insert { id, size })
+        self.enqueue(Request::Insert { id, size }).0
     }
 
     /// Enqueues `〈DELETEOBJECT, id〉` on the owning core. Same contract
     /// as [`insert`](AsyncEngine::insert).
     pub fn delete(&mut self, id: ObjectId) -> Ack {
-        self.enqueue(Request::Delete { id })
+        self.enqueue(Request::Delete { id }).0
     }
 
-    /// The sync engine's batching law, replicated exactly: a full buffer
-    /// ships whole; otherwise the planned-flush watermark decides.
-    fn enqueue(&mut self, req: Request) -> Ack {
+    /// The batching law: a full buffer ships whole; otherwise the planned
+    /// flush decides. Returns the request's ack and whether a batch
+    /// shipped (the sync engine paces online rebalancing by it).
+    pub(crate) fn enqueue(&mut self, req: Request) -> (Ack, bool) {
         let shard = self.router.route(req.id());
         let (tx, rx) = oneshot::channel();
         self.pending[shard].push(req);
         self.pending_slots[shard].push(tx);
-        if self.pending[shard].len() >= self.config.batch {
+        let shipped = if self.pending[shard].len() >= self.config.batch {
+            // Fast path: a full buffer ships whole, no planning needed.
             let batch = std::mem::replace(
                 &mut self.pending[shard],
                 Vec::with_capacity(self.config.batch),
             );
             let slots = std::mem::take(&mut self.pending_slots[shard]);
             self.ship(shard, TaskCmd::Apply(Command::Batch(batch)), slots);
-            return Ack::one(rx);
-        }
-        self.plan_flush();
-        Ack::one(rx)
+            true
+        } else {
+            self.plan_flush()
+        };
+        (
+            Ack {
+                one: Some(rx),
+                many: Vec::new(),
+            },
+            shipped,
+        )
     }
 
-    /// Mirror of the sync `plan_flush` (same watermark, same
-    /// fullest-buffer tie-break, same [`planned_take`](crate::Engine)
-    /// split), with the shipped requests' completion slots riding along.
-    fn plan_flush(&mut self) {
+    /// Planned flush scheduling across the whole pending set — the
+    /// Bε-tree `plan_flush` idiom applied to shard buffers: nothing ships
+    /// while total buffered work is below the watermark (half the
+    /// tenant's batch capacity); past it, the *fullest* buffer flushes,
+    /// and never below half a batch ([`planned_take`]). Skewed traffic
+    /// thus stops hoarding its backlog until the full-batch fast path
+    /// triggers, while uniform trickles still build usefully sized
+    /// batches instead of degenerating to per-request ships. Returns
+    /// whether a batch shipped.
+    fn plan_flush(&mut self) -> bool {
         let watermark = (self.cores.len() * self.config.batch / 2).max(1);
         let total: usize = self.pending.iter().map(Vec::len).sum();
         if total < watermark {
-            return;
+            return false;
         }
         let Some(shard) = (0..self.pending.len()).max_by_key(|&s| self.pending[s].len()) else {
-            return;
+            return false;
         };
-        let Some(take) = Engine::planned_take(self.pending[shard].len(), self.config.batch) else {
-            return;
+        let Some(take) = planned_take(self.pending[shard].len(), self.config.batch) else {
+            return false;
         };
         let batch: Vec<Request> = self.pending[shard].drain(..take).collect();
         let slots: Vec<_> = self.pending_slots[shard].drain(..take).collect();
         self.ship(shard, TaskCmd::Apply(Command::Batch(batch)), slots);
+        true
     }
 
-    /// Admits one task onto a core (blocking at the same `queue_depth`
-    /// bound as the sync engine's channel, with the same stall
-    /// accounting) and enqueues it on the core's home queue.
+    /// Admits one task onto a core — blocking while `queue_depth` of its
+    /// tasks are queued or running, and recording that stall — and
+    /// enqueues it on the core's home queue.
     fn ship(&mut self, shard: usize, cmd: TaskCmd, slots: Vec<oneshot::Sender<()>>) {
         if self
             .shared
@@ -352,15 +454,36 @@ impl AsyncEngine {
         queue.ready.notify_one();
     }
 
-    /// Ships every partially filled batch (the sync `flush`'s dispatch
-    /// half, minus the barrier).
-    fn flush_batches(&mut self) {
+    /// Ships one command to core `shard` behind everything already
+    /// shipped to it, and returns the command's reply channel.
+    pub(crate) fn request<T>(
+        &mut self,
+        shard: usize,
+        make: impl FnOnce(mpsc::Sender<T>) -> Command,
+    ) -> mpsc::Receiver<T> {
+        let (reply, rx) = mpsc::channel();
+        self.send(shard, make(reply));
+        rx
+    }
+
+    /// Ships one command to core `shard` with no completion slot.
+    pub(crate) fn send(&mut self, shard: usize, cmd: Command) {
+        self.ship(shard, TaskCmd::Apply(cmd), Vec::new());
+    }
+
+    /// Ships core `shard`'s partially filled batch, if any.
+    pub(crate) fn flush_shard(&mut self, shard: usize) {
+        if !self.pending[shard].is_empty() {
+            let batch = std::mem::take(&mut self.pending[shard]);
+            let slots = std::mem::take(&mut self.pending_slots[shard]);
+            self.ship(shard, TaskCmd::Apply(Command::Batch(batch)), slots);
+        }
+    }
+
+    /// Ships every partially filled batch.
+    pub(crate) fn flush_batches(&mut self) {
         for shard in 0..self.cores.len() {
-            if !self.pending[shard].is_empty() {
-                let batch = std::mem::take(&mut self.pending[shard]);
-                let slots = std::mem::take(&mut self.pending_slots[shard]);
-                self.ship(shard, TaskCmd::Apply(Command::Batch(batch)), slots);
-            }
+            self.flush_shard(shard);
         }
     }
 
@@ -373,7 +496,10 @@ impl AsyncEngine {
             self.ship(shard, TaskCmd::Fence, vec![tx]);
             rxs.push(rx);
         }
-        Ack::many(rxs)
+        Ack {
+            one: None,
+            many: rxs,
+        }
     }
 
     /// Ships every partially filled batch and returns an [`Ack`] that
@@ -384,8 +510,12 @@ impl AsyncEngine {
         self.fence_all()
     }
 
-    /// Per-core router pins for checkpoint barriers — identical to the
-    /// sync engine's rule (empty without a WAL).
+    /// Per-core lists of the ids the routing table explicitly assigns
+    /// (empty everywhere without a WAL — nothing would persist them).
+    /// Sent with checkpoint barriers so each core's checkpoint records
+    /// which of its objects sit off the router's rendezvous fallback;
+    /// recovery can then rebuild the assignment table from the shard
+    /// files alone.
     fn router_pins(&self) -> Vec<Vec<ObjectId>> {
         let mut pins = vec![Vec::new(); self.cores.len()];
         if self.wal_dir.is_some() {
@@ -398,64 +528,56 @@ impl AsyncEngine {
         pins
     }
 
-    /// Drains every core (each runs `Reallocator::quiesce`; a WAL'd core
-    /// checkpoints and truncates its log) and resolves to the aggregated
-    /// stats — the async form of the sync quiesce barrier, with the same
-    /// error surfacing.
-    pub fn quiesce(&mut self) -> QuiesceFuture {
-        self.flush_batches();
-        let pins = self.router_pins();
-        let mut rxs = Vec::with_capacity(self.cores.len());
-        let mut replies = Vec::with_capacity(self.cores.len());
-        for (shard, pins) in pins.into_iter().enumerate() {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let (tx, rx) = oneshot::channel();
-            self.ship(
-                shard,
-                TaskCmd::Apply(Command::Quiesce {
-                    reply: reply_tx,
-                    pins,
-                }),
-                vec![tx],
-            );
-            rxs.push(rx);
-            replies.push(reply_rx);
-        }
-        QuiesceFuture {
-            acks: Ack::many(rxs),
-            replies: Some(replies),
-        }
-    }
-
-    /// Blocking barrier plumbing shared by the synchronous conveniences:
-    /// flush, one command per core, await the acks, collect the replies.
-    fn barrier<T: Send>(
+    /// The barrier fan-out: ships every partially filled batch, then one
+    /// `make(shard, reply)` command per core (the closure sees the shard
+    /// index, for per-shard payloads like checkpoint pins).
+    fn fan_out<T>(
         &mut self,
         make: impl Fn(usize, mpsc::Sender<T>) -> Command,
-    ) -> Result<Vec<T>, EngineError> {
+    ) -> (Ack, Vec<mpsc::Receiver<T>>) {
         self.flush_batches();
+        let mut acks = Vec::with_capacity(self.cores.len());
         let mut rxs = Vec::with_capacity(self.cores.len());
-        let mut replies = Vec::with_capacity(self.cores.len());
         for shard in 0..self.cores.len() {
             let (reply_tx, reply_rx) = mpsc::channel();
             let (tx, rx) = oneshot::channel();
             self.ship(shard, TaskCmd::Apply(make(shard, reply_tx)), vec![tx]);
-            rxs.push(rx);
-            replies.push(reply_rx);
+            acks.push(rx);
+            rxs.push(reply_rx);
         }
-        block_on(Ack::many(rxs));
-        replies
-            .into_iter()
-            .enumerate()
-            .map(|(shard, rx)| rx.try_recv().map_err(|_| EngineError::ShardDown { shard }))
-            .collect()
+        let acks = Ack {
+            one: None,
+            many: acks,
+        };
+        (acks, rxs)
     }
 
-    /// Blocking stats barrier without forcing deferred work — the sync
-    /// [`Engine::snapshot`](crate::Engine) equivalent.
+    /// Blocking barrier: [`fan_out`](Self::fan_out), then every reply.
+    pub(crate) fn barrier<T>(
+        &mut self,
+        make: impl Fn(usize, mpsc::Sender<T>) -> Command,
+    ) -> Result<Vec<T>, EngineError> {
+        let (acks, rxs) = self.fan_out(make);
+        block_on(acks);
+        collect(rxs)
+    }
+
+    /// Drains every core (each runs `Reallocator::quiesce`; a WAL'd core
+    /// checkpoints and truncates its log) and resolves to the aggregated
+    /// stats, surfacing the first sticky error.
+    pub fn quiesce(&mut self) -> QuiesceFuture {
+        let pins = self.router_pins();
+        let (acks, replies) = self.fan_out(|shard, reply| Command::Quiesce {
+            reply,
+            pins: pins[shard].clone(),
+        });
+        QuiesceFuture { acks, replies }
+    }
+
+    /// Blocking stats barrier without forcing deferred work, surfacing the
+    /// first sticky error.
     pub fn snapshot(&mut self) -> Result<EngineStats, EngineError> {
-        let replies = self.barrier(|_, reply| Command::Snapshot(reply))?;
-        Engine::aggregate(replies)
+        aggregate(self.barrier(|_, reply| Command::Snapshot(reply))?)
     }
 
     /// Current placements of all live objects, per shard, sorted by id
@@ -477,11 +599,27 @@ impl AsyncEngine {
         self.barrier(|_, reply| Command::DumpSubstrate(reply))
     }
 
-    /// Scrapes the tenant's observability surface (blocking barrier):
-    /// the same deterministic projection as the sync engine's scrape,
-    /// plus this tenant's [`StealStats`](crate::metrics::StealStats).
-    /// Like the sync scrape, sticky errors do not surface here.
+    /// Scrapes the tenant's observability surface (blocking barrier): the
+    /// deterministic stats projection, every core's histograms and
+    /// sim-time lanes, this tenant's intake stalls and
+    /// [`StealStats`](crate::metrics::StealStats). Sticky errors do not
+    /// surface here — a scrape must be able to observe a degraded tenant.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, EngineError> {
+        self.scrape(None)
+    }
+
+    /// [`metrics`](AsyncEngine::metrics) as the change since the
+    /// previous scrape (full values on the first).
+    pub fn metrics_delta(&mut self) -> Result<MetricsSnapshot, EngineError> {
+        self.scrape_delta(None)
+    }
+
+    /// The metrics merge behind both facades' scrapes; `events` is the
+    /// sync engine's structural journal (async tenants have none).
+    pub(crate) fn scrape(
+        &mut self,
+        events: Option<&EventJournal>,
+    ) -> Result<MetricsSnapshot, EngineError> {
         let replies = self.barrier(|_, reply| Command::Metrics(reply))?;
         let mut per_shard = Vec::with_capacity(replies.len());
         let mut stats = Vec::with_capacity(replies.len());
@@ -498,19 +636,24 @@ impl AsyncEngine {
             device: self.config.device.filter(|_| self.config.telemetry),
             stats: EngineStats { per_shard: stats },
             per_shard,
-            events: Vec::new(),
-            events_dropped: 0,
+            events: events.map(EventJournal::snapshot).unwrap_or_default(),
+            events_dropped: events.map_or(0, EventJournal::dropped),
             steal: self.steal.snapshot(),
         };
         self.last_metrics = Some(snapshot.clone());
         Ok(snapshot)
     }
 
-    /// [`metrics`](AsyncEngine::metrics) as the change since the
-    /// previous scrape (full values on the first).
-    pub fn metrics_delta(&mut self) -> Result<MetricsSnapshot, EngineError> {
+    /// [`scrape`](Self::scrape) as the change since the previous scrape:
+    /// counters, histograms, and sim time subtract; gauges keep their
+    /// current values (see [`MetricsSnapshot::delta_since`]). Shards with
+    /// no prior reading report full values.
+    pub(crate) fn scrape_delta(
+        &mut self,
+        events: Option<&EventJournal>,
+    ) -> Result<MetricsSnapshot, EngineError> {
         let prev = self.last_metrics.take();
-        let current = self.metrics()?;
+        let current = self.scrape(events)?;
         Ok(match prev {
             Some(prev) => current.delta_since(&prev),
             None => current,
@@ -519,29 +662,32 @@ impl AsyncEngine {
 
     /// Final barrier: serves everything still queued, retires every core
     /// (a WAL'd core checkpoints first), and returns each core's stats
-    /// and full ledger — the same contract, error surfacing included, as
-    /// the sync [`Engine::shutdown`](crate::Engine).
+    /// and full ledger, surfacing the first sticky error instead if any
+    /// core saw one.
     pub fn shutdown(mut self) -> Result<Vec<ShardFinal>, EngineError> {
-        let pins = self.router_pins();
-        let finals = self.barrier(|shard, reply| Command::Finish {
-            reply,
-            pins: pins[shard].clone(),
-        })?;
-        Engine::surface_first_error(finals.iter().map(|f| (f.stats.shard, &f.first_error)))?;
-        Engine::surface_substrate_error(
+        let finals = self.finish()?;
+        surface(
             finals
                 .iter()
-                .map(|f| (f.stats.shard, &f.first_substrate_error)),
+                .map(|f| (f.stats.shard, &f.first_error, &f.first_substrate_error)),
         )?;
         Ok(finals)
     }
 
+    /// The final barrier without error surfacing.
+    pub(crate) fn finish(&mut self) -> Result<Vec<ShardFinal>, EngineError> {
+        let pins = self.router_pins();
+        self.barrier(|shard, reply| Command::Finish {
+            reply,
+            pins: pins[shard].clone(),
+        })
+    }
+
     /// Simulated `kill -9` (testing): drops the partially filled batches
-    /// unsent (as the sync crash drops its channels), but waits for
-    /// everything already queued to be applied — the sync crash joins
-    /// its workers for the same determinism — so the WAL'd crash point
-    /// is exact. No quiesce, no checkpoint, no truncation; pair with
-    /// [`Engine::recover`](crate::Engine) on the tenant's directory.
+    /// unsent, but waits for everything already queued to be applied, so
+    /// the WAL'd crash point is exact. No quiesce, no checkpoint, no
+    /// truncation; pair with [`Engine::recover`](crate::Engine) on the
+    /// tenant's directory.
     pub fn crash(mut self) {
         for shard in 0..self.cores.len() {
             self.pending[shard].clear();

@@ -3,36 +3,38 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{self, SyncSender};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 use realloc_common::{BoxedReallocator, Extent, HashRouter, ObjectId, ReallocError, Router};
-use realloc_telemetry::{EventJournal, Histogram};
+use realloc_telemetry::EventJournal;
 use workload_gen::{Request, Workload};
 
-use crate::metrics::{DeviceProfile, MetricsSnapshot, StealStats};
+use crate::async_facade::{surface, AsyncEngine};
+use crate::fleet::{Fleet, FleetConfig};
+use crate::metrics::{DeviceProfile, MetricsSnapshot};
 use crate::rebalance::{
     plan_rebalance, Migration, OnlinePlan, RebalanceMode, RebalanceOptions, RebalancePolicy,
     RebalanceReport, ResizeReport,
 };
-use crate::shard::{Command, ShardError, ShardFinal, ShardReply, ShardWorker};
+use crate::shard::{clear_stale_wal, Command, ShardError, ShardFinal};
 use crate::stats::EngineStats;
 use crate::substrate::{SubstrateConfig, SubstrateReport, Transfer};
 
 /// Sizing knobs for an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Number of shards (worker threads). Each owns an independent
-    /// reallocator, so the aggregate footprint bound is `(1+ε)·Σ V_i`.
-    /// Changes at runtime through [`Engine::resize_shards`].
+    /// Number of shards. Each owns an independent reallocator, so the
+    /// aggregate footprint bound is `(1+ε)·Σ V_i`; a sync [`Engine`] gives
+    /// each its own fleet worker thread. Changes at runtime through
+    /// [`Engine::resize_shards`].
     pub shards: usize,
-    /// Requests per channel message. Larger batches amortize channel
-    /// overhead; smaller ones reduce barrier latency. One channel round
-    /// trip per `batch` requests is the same amortization play the paper's
-    /// buffer segments make for moves.
+    /// Requests per shipped batch. Larger batches amortize the hand-off
+    /// onto a fleet queue; smaller ones reduce barrier latency — the same
+    /// amortization play the paper's buffer segments make for moves.
     pub batch: usize,
-    /// Bounded channel depth, in batches. A full queue blocks the
-    /// enqueueing caller — backpressure, not unbounded buffering.
+    /// Admission bound per shard: how many of its batches may be queued or
+    /// running at once. Shipping to a full shard blocks the enqueueing
+    /// caller — backpressure, not unbounded buffering.
     pub queue_depth: usize,
     /// Keep a full per-request [`Ledger`](realloc_common::Ledger) on every
     /// shard (the post-hoc cost-pricing record). On by default; a
@@ -56,7 +58,7 @@ pub struct EngineConfig {
     /// for overhead-sensitive runs (scrapes then return zeroed metrics).
     pub telemetry: bool,
     /// Price every shard's physical op stream against this simulated
-    /// device ([`DeviceProfile::build`] runs inside each worker thread).
+    /// device ([`DeviceProfile::build`] runs once per shard).
     /// `None` (the default) records counts and wall-clock only.
     pub device: Option<DeviceProfile>,
     /// Fold every batch through the intra-batch coalescing planner
@@ -141,7 +143,8 @@ pub enum EngineError {
         /// The underlying rejection.
         error: ReallocError,
     },
-    /// A shard's worker thread is gone (its channel disconnected).
+    /// A shard is gone: its reallocator panicked (or it was retired), so
+    /// the commands shipped to it are dropped unserved.
     ShardDown {
         /// The dead shard.
         shard: usize,
@@ -224,27 +227,21 @@ struct MigrationOutcome {
     stranded: Vec<(ObjectId, usize)>,
     /// First rejection observed across both phases (if any). Surfaced by
     /// the caller only after the routing table matches physical ownership.
-    first_error: Option<(usize, ShardError)>,
+    first_error: Option<EngineError>,
 }
 
 impl MigrationOutcome {
     fn note_error(&mut self, shard: usize, error: Option<ShardError>) {
-        if self.first_error.is_none() {
-            if let Some(err) = error {
-                self.first_error = Some((shard, err));
-            }
-        }
+        let error = error.map(|err| EngineError::Request {
+            shard,
+            index: err.index,
+            error: err.error,
+        });
+        self.first_error = self.first_error.take().or(error);
     }
 
     fn surface(&self) -> Result<(), EngineError> {
-        match self.first_error {
-            Some((shard, err)) => Err(EngineError::Request {
-                shard,
-                index: err.index,
-                error: err.error,
-            }),
-            None => Ok(()),
-        }
+        self.first_error.clone().map_or(Ok(()), Err)
     }
 
     fn totals(&self) -> (u64, u64) {
@@ -274,7 +271,9 @@ struct OnlineSession {
 
 /// A sharded, multi-threaded reallocation service.
 ///
-/// See the [crate docs](crate) for the architecture. Construct with
+/// See the [crate docs](crate) for the architecture. Serving runs through
+/// the same intake as an [`AsyncEngine`] tenant, on a private
+/// [`Fleet`] with one worker thread per shard. Construct with
 /// [`Engine::new`] (stateless hash routing) or [`Engine::with_router`]
 /// (any [`Router`]), feed with [`insert`](Engine::insert) /
 /// [`delete`](Engine::delete) (or [`drive`](Engine::drive) for a whole
@@ -286,7 +285,8 @@ struct OnlineSession {
 /// [`RebalancePolicy`] trigger that automatically — see
 /// [`set_auto_rebalance`](Engine::set_auto_rebalance)), and finish with
 /// [`shutdown`](Engine::shutdown) to collect per-shard ledgers. Dropping an
-/// engine without `shutdown` joins its workers and discards results.
+/// engine without `shutdown` serves what was already shipped, joins its
+/// workers, and discards results.
 ///
 /// # Quickstart
 ///
@@ -326,12 +326,13 @@ struct OnlineSession {
 /// assert_eq!(finals.iter().map(|f| f.stats.live_count).sum::<usize>(), 256);
 /// ```
 pub struct Engine {
-    config: EngineConfig,
-    router: Box<dyn Router>,
-    senders: Vec<SyncSender<Command>>,
-    workers: Vec<JoinHandle<()>>,
-    /// Per-shard batch under construction (not yet sent).
-    pending: Vec<Vec<Request>>,
+    /// The shared intake — router, pending batches, batching law,
+    /// barriers, metrics merge — with this engine as its only tenant.
+    /// Declared before `fleet` so it drops first.
+    tenant: AsyncEngine,
+    /// The private pool serving `tenant`: stealing off, one worker per
+    /// shard, core `i` homed on worker `i`.
+    fleet: Fleet,
     /// Finals of shards retired by a shrinking resize, so their ledgers and
     /// stats survive until [`shutdown`](Engine::shutdown).
     retired: Vec<ShardFinal>,
@@ -346,30 +347,21 @@ pub struct Engine {
     /// payload that passes through [`Engine::migrate`], after the source
     /// acked it. See [`Engine::inject_transfer_corruption`].
     corrupt_next_transfer: bool,
-    /// Directory of the per-shard write-ahead logs, when durability is on
-    /// (see [`Engine::with_wal`]). `None` keeps the journal-free fast path.
-    wal_dir: Option<PathBuf>,
     /// Next cross-shard transfer sequence number. Every planned migration
     /// consumes one; the source journals it in its `MigrateOut` and the
     /// target in its `MigrateIn`/`RouteFlip`, so recovery can pair the two
-    /// halves of a transfer across independently truncated logs.
-    xfer_seq: u64,
-    /// Engine-side intake-stall observations, one histogram per shard: how
-    /// long a send blocked on that shard's full channel. Recorded only when
-    /// `try_send` finds the queue full, so the uncontended path pays no
-    /// clock read. Empty when telemetry is off.
-    stalls: Vec<Histogram>,
+    /// halves of a transfer across independently truncated logs. Recovery
+    /// seeds it past everything the replayed logs consumed.
+    pub(crate) xfer_seq: u64,
     /// The bounded structural event journal: rebalance/resize spans and
-    /// recovery stages. Scraped (never drained) by [`Engine::metrics`].
-    events: EventJournal,
-    /// Number of completed [`Engine::metrics`] scrapes.
-    scrapes: u64,
-    /// The previous scrape, for [`Engine::metrics_delta`].
-    last_metrics: Option<MetricsSnapshot>,
+    /// recovery stages (recovery installs the journal its stages wrote
+    /// before the engine existed). Scraped (never drained) by
+    /// [`Engine::metrics`].
+    pub(crate) events: EventJournal,
 }
 
 impl Engine {
-    /// Spawns `config.shards` worker threads behind the default stateless
+    /// Spawns one worker thread per shard behind the default stateless
     /// [`HashRouter`]; `factory(shard)` builds each shard's reallocator
     /// (any `Reallocator + Send` — paper variants, baselines, or a mix).
     ///
@@ -424,23 +416,7 @@ impl Engine {
         F: FnMut(usize) -> BoxedReallocator,
     {
         let dir = wal_dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir).map_err(|e| EngineError::Wal {
-            detail: format!("create {}: {e}", dir.display()),
-        })?;
-        let entries = std::fs::read_dir(&dir).map_err(|e| EngineError::Wal {
-            detail: format!("scan {}: {e}", dir.display()),
-        })?;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let stale = path
-                .extension()
-                .is_some_and(|ext| ext == "wal" || ext == "ckpt");
-            if stale {
-                std::fs::remove_file(&path).map_err(|e| EngineError::Wal {
-                    detail: format!("remove stale {}: {e}", path.display()),
-                })?;
-            }
-        }
+        clear_stale_wal(&dir)?;
         Engine::build(config, router, factory, Some(dir), 0)
     }
 
@@ -458,109 +434,68 @@ impl Engine {
     where
         F: FnMut(usize) -> BoxedReallocator,
     {
-        assert!(config.shards > 0, "engine needs at least one shard");
-        assert!(config.batch > 0, "batch size must be positive");
-        assert_eq!(
-            router.shards(),
-            config.shards,
-            "router and config disagree on the shard count"
-        );
-        let mut engine = Engine {
-            config,
-            router,
-            senders: Vec::with_capacity(config.shards),
-            workers: Vec::with_capacity(config.shards),
-            pending: Vec::with_capacity(config.shards),
+        let fleet = Fleet::new(FleetConfig::with_workers(config.shards));
+        let mut tenant = AsyncEngine::new(Arc::clone(&fleet.shared), 0, config, router, wal_dir);
+        for shard in 0..config.shards {
+            tenant.spawn_core(factory(shard), shard, recoveries)?;
+        }
+        Ok(Engine {
+            tenant,
+            fleet,
             retired: Vec::new(),
             session: None,
             finished: None,
             auto: None,
             corrupt_next_transfer: false,
-            wal_dir,
             xfer_seq: 1,
-            stalls: Vec::with_capacity(config.shards),
             events: EventJournal::new(512),
-            scrapes: 0,
-            last_metrics: None,
-        };
-        for shard in 0..config.shards {
-            engine.spawn_shard(shard, factory(shard), recoveries)?;
-        }
-        Ok(engine)
+        })
     }
 
-    fn spawn_shard(
-        &mut self,
-        shard: usize,
-        realloc: BoxedReallocator,
-        recoveries: u64,
-    ) -> Result<(), EngineError> {
-        let (tx, rx) = mpsc::sync_channel(self.config.queue_depth.max(1));
-        let worker = ShardWorker::build(
-            &self.config,
-            shard,
-            realloc,
-            self.wal_dir.as_deref(),
-            recoveries,
-        )?;
-        let handle = std::thread::Builder::new()
-            .name(format!("realloc-shard-{shard}"))
-            .spawn(move || worker.run(rx))
-            .expect("spawn shard worker");
-        self.senders.push(tx);
-        self.workers.push(handle);
-        self.pending.push(Vec::with_capacity(self.config.batch));
-        if self.config.telemetry {
-            self.stalls.push(Histogram::new());
+    /// Moves the engine onto a fresh private pool of `workers` threads
+    /// unless it has that many — how a resize keeps one worker per shard.
+    /// Dropping the old, drained pool joins its threads.
+    fn rehost(&mut self, workers: usize) {
+        if self.fleet.workers() != workers {
+            let fleet = Fleet::new(FleetConfig::with_workers(workers));
+            self.tenant.rehost(Arc::clone(&fleet.shared));
+            self.fleet = fleet;
         }
-        Ok(())
     }
 
     /// The write-ahead-log directory, when durability is on.
     pub fn wal_dir(&self) -> Option<&Path> {
-        self.wal_dir.as_deref()
-    }
-
-    /// Seeds the transfer sequence counter past everything a replayed log
-    /// already consumed (recovery only — a fresh engine starts at 1).
-    pub(crate) fn set_xfer_seq(&mut self, next: u64) {
-        self.xfer_seq = next;
-    }
-
-    /// Replaces the structural event journal (recovery only — the recovery
-    /// stages run before the engine exists, so their spans are recorded
-    /// into a standalone journal and installed here).
-    pub(crate) fn install_events(&mut self, events: EventJournal) {
-        self.events = events;
+        self.tenant.wal_dir()
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.config.shards
+        self.tenant.shards()
     }
 
     /// The engine's configuration (reflects any resize).
     pub fn config(&self) -> EngineConfig {
-        self.config
+        self.tenant.config()
     }
 
     /// The routing layer, for inspection (`name`, `assignments`, …).
     pub fn router(&self) -> &dyn Router {
-        self.router.as_ref()
+        self.tenant.router()
     }
 
     /// The shard that owns `id` right now. Stable between barriers; a
     /// [`rebalance`](Engine::rebalance) or
     /// [`resize_shards`](Engine::resize_shards) may re-home the id.
     pub fn shard_of(&self, id: ObjectId) -> usize {
-        self.router.route(id)
+        self.tenant.shard_of(id)
     }
 
     /// Enqueues `〈INSERTOBJECT, id, size〉` on the owning shard.
     ///
     /// `Ok` means *accepted for serving*, not *served*: a rejection by the
-    /// shard's reallocator (e.g. a duplicate id) surfaces at the next
-    /// barrier. `Err` here only ever means the shard is down.
+    /// shard's reallocator (e.g. a duplicate id) — or a shard lost to a
+    /// panic — surfaces at the next barrier. `Err` here only ever means an
+    /// online rebalance step this call paced failed.
     pub fn insert(&mut self, id: ObjectId, size: u64) -> Result<(), EngineError> {
         self.enqueue(Request::Insert { id, size })
     }
@@ -572,174 +507,23 @@ impl Engine {
     }
 
     fn enqueue(&mut self, req: Request) -> Result<(), EngineError> {
-        let shard = self.router.route(req.id());
-        self.pending[shard].push(req);
-        if self.pending[shard].len() >= self.config.batch {
-            // Fast path: a full buffer ships whole, no planning needed.
-            let batch = std::mem::replace(
-                &mut self.pending[shard],
-                Vec::with_capacity(self.config.batch),
-            );
-            self.send(shard, Command::Batch(batch))?;
-            // Online rebalancing rides the serving cadence: one bounded
-            // migration batch per dispatched serving batch, so per-call
-            // latency stays bounded and migration bandwidth scales with
-            // traffic instead of stalling it.
-            if self.session.is_some() {
-                self.step_session()?;
-            }
-            return Ok(());
-        }
-        self.plan_flush()
-    }
-
-    /// Planned flush scheduling across the whole pending set — the Bε-tree
-    /// `plan_flush` idiom applied to shard buffers: nothing ships while
-    /// total buffered work is below the watermark (half the fleet's batch
-    /// capacity); past it, the *fullest* buffer flushes, and never below
-    /// half a batch. Skewed traffic thus stops hoarding its backlog until
-    /// the full-batch fast path triggers, while uniform trickles still
-    /// build usefully sized batches instead of degenerating to per-request
-    /// sends.
-    fn plan_flush(&mut self) -> Result<(), EngineError> {
-        let watermark = (self.senders.len() * self.config.batch / 2).max(1);
-        let total: usize = self.pending.iter().map(Vec::len).sum();
-        if total < watermark {
-            return Ok(());
-        }
-        let Some(shard) = (0..self.pending.len()).max_by_key(|&s| self.pending[s].len()) else {
-            return Ok(());
-        };
-        let Some(take) = Self::planned_take(self.pending[shard].len(), self.config.batch) else {
-            return Ok(());
-        };
-        let batch: Vec<Request> = self.pending[shard].drain(..take).collect();
-        self.send(shard, Command::Batch(batch))?;
-        // Same session pacing rule as the full-batch fast path.
-        if self.session.is_some() {
-            self.step_session()?;
+        let (_, shipped) = self.tenant.enqueue(req);
+        // Online rebalancing rides the serving cadence: one bounded
+        // migration batch per dispatched serving batch, so per-call
+        // latency stays bounded and migration bandwidth scales with
+        // traffic instead of stalling it.
+        if shipped {
+            self.rebalance_step()?;
         }
         Ok(())
-    }
-
-    /// How much of an `n`-request buffer a planned flush ships: nothing
-    /// below half a batch (let it keep filling), at most one batch, and
-    /// everything in between ships whole.
-    pub(crate) fn planned_take(n: usize, batch: usize) -> Option<usize> {
-        if n < batch / 2 {
-            None
-        } else {
-            Some(n.min(batch))
-        }
-    }
-
-    fn send(&self, shard: usize, cmd: Command) -> Result<(), EngineError> {
-        // Fast path first: only a send that actually finds the queue full
-        // pays a clock read, and only then does the stall histogram get an
-        // observation — so stall count == number of blocked sends.
-        match self.senders[shard].try_send(cmd) {
-            Ok(()) => Ok(()),
-            Err(mpsc::TrySendError::Full(cmd)) => {
-                let stall = self.stalls.get(shard);
-                let started = stall.map(|_| std::time::Instant::now());
-                let result = self.senders[shard]
-                    .send(cmd)
-                    .map_err(|_| EngineError::ShardDown { shard });
-                if let (Some(stall), Some(started)) = (stall, started) {
-                    stall.record(started.elapsed().as_nanos() as u64);
-                }
-                result
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => Err(EngineError::ShardDown { shard }),
-        }
     }
 
     /// Pushes every partially filled batch to its shard. Called implicitly
     /// by all barriers; only needed directly to cap latency when trickling
     /// requests below the batch size.
     pub fn flush(&mut self) -> Result<(), EngineError> {
-        for shard in 0..self.senders.len() {
-            self.flush_shard(shard)?;
-        }
+        self.tenant.flush_batches();
         Ok(())
-    }
-
-    /// Pushes one shard's partially filled batch, if any.
-    fn flush_shard(&mut self, shard: usize) -> Result<(), EngineError> {
-        if !self.pending[shard].is_empty() {
-            let batch = std::mem::take(&mut self.pending[shard]);
-            self.send(shard, Command::Batch(batch))?;
-        }
-        Ok(())
-    }
-
-    /// Barrier: flush, send one command per shard (the closure sees the
-    /// shard index, for commands with per-shard payloads like checkpoint
-    /// pins), await all replies.
-    fn barrier<T>(
-        &mut self,
-        make: impl Fn(usize, mpsc::Sender<T>) -> Command,
-    ) -> Result<Vec<T>, EngineError> {
-        self.flush()?;
-        let mut replies = Vec::with_capacity(self.senders.len());
-        for shard in 0..self.senders.len() {
-            let (tx, rx) = mpsc::channel();
-            self.send(shard, make(shard, tx))?;
-            replies.push(rx);
-        }
-        replies
-            .into_iter()
-            .enumerate()
-            .map(|(shard, rx)| rx.recv().map_err(|_| EngineError::ShardDown { shard }))
-            .collect()
-    }
-
-    /// The error-surfacing rule every barrier shares: the first rejected
-    /// request of the lowest-numbered shard that saw one wins.
-    pub(crate) fn surface_first_error<'a>(
-        replies: impl Iterator<Item = (usize, &'a Option<ShardError>)>,
-    ) -> Result<(), EngineError> {
-        for (shard, first_error) in replies {
-            if let Some(err) = first_error {
-                return Err(EngineError::Request {
-                    shard,
-                    index: err.index,
-                    error: err.error,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// The substrate analogue of [`surface_first_error`]: integrity
-    /// failures rank below request errors only because both are sticky —
-    /// whichever exists keeps surfacing until shutdown.
-    ///
-    /// [`surface_first_error`]: Engine::surface_first_error
-    pub(crate) fn surface_substrate_error<'a>(
-        replies: impl Iterator<Item = (usize, &'a Option<String>)>,
-    ) -> Result<(), EngineError> {
-        for (shard, first) in replies {
-            if let Some(detail) = first {
-                return Err(EngineError::Substrate {
-                    shard,
-                    detail: detail.clone(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn aggregate(replies: Vec<ShardReply>) -> Result<EngineStats, EngineError> {
-        Self::surface_first_error(replies.iter().map(|r| (r.stats.shard, &r.first_error)))?;
-        Self::surface_substrate_error(
-            replies
-                .iter()
-                .map(|r| (r.stats.shard, &r.first_substrate_error)),
-        )?;
-        Ok(EngineStats {
-            per_shard: replies.into_iter().map(|r| r.stats).collect(),
-        })
     }
 
     /// Waits until every enqueued request has been served and all deferred
@@ -750,38 +534,12 @@ impl Engine {
     /// policy](Engine::set_auto_rebalance) observes the stats produced
     /// here and may start an online session before this returns.
     pub fn quiesce(&mut self) -> Result<EngineStats, EngineError> {
-        let stats = self.quiesce_inner()?;
+        // Internal machinery (and the policy trigger itself) barriers on
+        // the tenant directly, so an observation can never recursively
+        // trigger another observation.
+        let stats = self.tenant.quiesce().wait()?;
         self.policy_observe(&stats)?;
         Ok(stats)
-    }
-
-    /// [`quiesce`](Engine::quiesce) without the policy hook — what internal
-    /// machinery (and the policy trigger itself) uses, so an observation
-    /// can never recursively trigger another observation.
-    fn quiesce_inner(&mut self) -> Result<EngineStats, EngineError> {
-        let pins = self.router_pins();
-        let replies = self.barrier(|shard, reply| Command::Quiesce {
-            reply,
-            pins: pins[shard].clone(),
-        })?;
-        Self::aggregate(replies)
-    }
-
-    /// Per-shard lists of the ids the routing table explicitly assigns
-    /// (empty everywhere without a WAL — nothing would persist them). Sent
-    /// with checkpoint barriers so each shard's checkpoint records which of
-    /// its objects sit off the router's rendezvous fallback; recovery can
-    /// then rebuild the assignment table from the shard files alone.
-    pub(crate) fn router_pins(&self) -> Vec<Vec<ObjectId>> {
-        let mut pins = vec![Vec::new(); self.senders.len()];
-        if self.wal_dir.is_some() {
-            for (id, shard) in self.router.assigned_ids() {
-                if shard < pins.len() {
-                    pins[shard].push(id);
-                }
-            }
-        }
-        pins
     }
 
     /// Waits until every enqueued request has been served and returns the
@@ -790,22 +548,16 @@ impl Engine {
     /// [`quiesce`](Engine::quiesce), feeds the [auto-rebalance
     /// policy](Engine::set_auto_rebalance), if one is set.
     pub fn snapshot(&mut self) -> Result<EngineStats, EngineError> {
-        let stats = self.snapshot_inner()?;
+        let stats = self.tenant.snapshot()?;
         self.policy_observe(&stats)?;
         Ok(stats)
-    }
-
-    /// [`snapshot`](Engine::snapshot) without the policy hook.
-    fn snapshot_inner(&mut self) -> Result<EngineStats, EngineError> {
-        let replies = self.barrier(|_, reply| Command::Snapshot(reply))?;
-        Self::aggregate(replies)
     }
 
     /// Current placements of all live objects, per shard, sorted by id.
     /// (A barrier, like `snapshot`.) Objects whose delete is deferred
     /// inside a quiescing structure are not listed.
     pub fn extents(&mut self) -> Result<Vec<Vec<(ObjectId, Extent)>>, EngineError> {
-        self.barrier(|_, reply| Command::Extents(reply))
+        self.tenant.extents()
     }
 
     /// Scrapes the cumulative observability surface (a barrier, like
@@ -818,28 +570,7 @@ impl Engine {
     /// a degraded fleet. `Err` here only ever means a shard is down.
     /// Scraping does not feed the auto-rebalance policy.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, EngineError> {
-        let replies = self.barrier(|_, reply| Command::Metrics(reply))?;
-        let mut per_shard = Vec::with_capacity(replies.len());
-        let mut stats = Vec::with_capacity(replies.len());
-        for (reply, mut metrics) in replies {
-            if let Some(stall) = self.stalls.get(metrics.shard) {
-                metrics.intake_stall_ns = stall.snapshot();
-            }
-            stats.push(reply.stats);
-            per_shard.push(metrics);
-        }
-        self.scrapes += 1;
-        let snapshot = MetricsSnapshot {
-            scrape: self.scrapes,
-            device: self.config.device.filter(|_| self.config.telemetry),
-            stats: EngineStats { per_shard: stats },
-            per_shard,
-            events: self.events.snapshot(),
-            events_dropped: self.events.dropped(),
-            steal: StealStats::default(),
-        };
-        self.last_metrics = Some(snapshot.clone());
-        Ok(snapshot)
+        self.tenant.scrape(Some(&self.events))
     }
 
     /// [`metrics`](Engine::metrics), reported as the change since the
@@ -849,18 +580,13 @@ impl Engine {
     /// [`resize`](Engine::resize_shards) adds shards — reports full values
     /// for shards with no prior reading.
     pub fn metrics_delta(&mut self) -> Result<MetricsSnapshot, EngineError> {
-        let prev = self.last_metrics.take();
-        let current = self.metrics()?;
-        Ok(match prev {
-            Some(prev) => current.delta_since(&prev),
-            None => current,
-        })
+        self.tenant.scrape_delta(Some(&self.events))
     }
 
     /// Whether every shard runs a byte-carrying substrate
     /// ([`EngineConfig::substrate`]).
     pub fn substrate_enabled(&self) -> bool {
-        self.config.substrate.is_some()
+        self.tenant.config.substrate.is_some()
     }
 
     /// Barrier: every shard runs its full substrate verification scan
@@ -873,21 +599,22 @@ impl Engine {
             return Ok(Vec::new());
         }
         let reports: Vec<SubstrateReport> = self
-            .barrier(|_, reply| Command::VerifySubstrate(reply))?
+            .tenant
+            .verify_substrate()?
             .into_iter()
             .flatten()
             .collect();
-        Self::surface_substrate_error(reports.iter().map(|r| (r.shard, &r.error)))?;
+        surface(reports.iter().map(|r| (r.shard, &None, &r.error)))?;
         Ok(reports)
     }
 
     /// Barrier: every live object's physical bytes, per shard, sorted by
     /// id, as read from the shard substrates. Empty inner lists without a
-    /// substrate. A test/debug aid — it copies `O(V)` bytes across the
-    /// channels; byte-level *checking* should go through
+    /// substrate. A test/debug aid — it copies `O(V)` bytes out of the
+    /// shards; byte-level *checking* should go through
     /// [`verify_substrate`](Engine::verify_substrate) instead.
     pub fn substrate_contents(&mut self) -> Result<Vec<crate::ShardBytes>, EngineError> {
-        self.barrier(|_, reply| Command::DumpSubstrate(reply))
+        self.tenant.substrate_contents()
     }
 
     /// Fault injection for durability/integrity testing: flip one byte of
@@ -901,10 +628,11 @@ impl Engine {
         &mut self,
         shard: usize,
     ) -> Result<Option<ObjectId>, EngineError> {
-        self.flush_shard(shard)?;
-        let (tx, rx) = mpsc::channel();
-        self.send(shard, Command::CorruptSubstrate(tx))?;
-        rx.recv().map_err(|_| EngineError::ShardDown { shard })
+        self.tenant.flush_shard(shard);
+        self.tenant
+            .request(shard, Command::CorruptSubstrate)
+            .recv()
+            .map_err(|_| EngineError::ShardDown { shard })
     }
 
     /// Fault injection for integrity testing: damage one byte of the next
@@ -944,8 +672,8 @@ impl Engine {
         }
         // Order wrt. anything already trickled in via insert/delete.
         self.flush()?;
-        let shards = self.senders.len();
-        let router = self.router.as_ref();
+        let shards = self.shards();
+        let router = self.tenant.router.as_ref();
         let parts = workload_gen::shard::split_with(workload, shards, |id| router.route(id));
         self.drive_streams(parts.into_iter().map(|p| p.requests).collect())
     }
@@ -961,11 +689,8 @@ impl Engine {
     /// # Panics
     /// Panics if there are more streams than shards.
     pub(crate) fn drive_streams(&mut self, streams: Vec<Vec<Request>>) -> Result<(), EngineError> {
-        assert!(
-            streams.len() <= self.senders.len(),
-            "more streams than shards"
-        );
-        let batch = self.config.batch;
+        assert!(streams.len() <= self.shards(), "more streams than shards");
+        let batch = self.tenant.config.batch;
         let mut cursor = vec![0usize; streams.len()];
         let mut order: Vec<usize> = (0..streams.len()).collect();
         loop {
@@ -976,7 +701,8 @@ impl Engine {
                 if cursor[shard] < reqs.len() {
                     done = false;
                     let end = (cursor[shard] + batch).min(reqs.len());
-                    self.send(shard, Command::Batch(reqs[cursor[shard]..end].to_vec()))?;
+                    self.tenant
+                        .send(shard, Command::Batch(reqs[cursor[shard]..end].to_vec()));
                     cursor[shard] = end;
                 }
             }
@@ -1014,7 +740,7 @@ impl Engine {
     /// Panics if `opts.defrag_eps` is outside the paper's `0 < ε ≤ 1/2`.
     pub fn rebalance(&mut self, opts: RebalanceOptions) -> Result<RebalanceReport, EngineError> {
         Self::validate_defrag_eps(&opts);
-        while self.step_session()? {}
+        while self.rebalance_step()? {}
         let (before, plan) = self.plan_migrations(true)?;
         self.events
             .begin(None, "rebalance.barrier", plan.len() as u64);
@@ -1025,15 +751,17 @@ impl Engine {
         // any error surfaces, so routing always matches physical ownership
         // even if a broken reallocator rejects one transfer mid-plan.
         for &(id, _, to) in &outcome.completed {
-            self.router.assign(id, to);
+            self.tenant.router.assign(id, to);
         }
         outcome.surface()?;
         let (migrated_objects, migrated_volume) = outcome.totals();
         let defrag = match opts.defrag_eps {
-            Some(eps) => self.barrier(|_, reply| Command::Defrag { eps, reply })?,
+            Some(eps) => self
+                .tenant
+                .barrier(|_, reply| Command::Defrag { eps, reply })?,
             None => Vec::new(),
         };
-        let after = self.quiesce_inner()?;
+        let after = self.tenant.quiesce().wait()?;
         self.events.end(None, "rebalance.barrier", migrated_volume);
         Ok(RebalanceReport {
             before,
@@ -1064,9 +792,9 @@ impl Engine {
         quiesce: bool,
     ) -> Result<(EngineStats, Vec<Migration>), EngineError> {
         let before = if quiesce {
-            self.quiesce_inner()?
+            self.tenant.quiesce().wait()?
         } else {
-            self.snapshot_inner()?
+            self.tenant.snapshot()?
         };
         let extents = self.extents()?;
         let shards: Vec<Vec<(ObjectId, u64)>> = extents
@@ -1074,9 +802,9 @@ impl Engine {
             .map(|list| list.iter().map(|&(id, e)| (id, e.len)).collect())
             .collect();
         let plan = plan_rebalance(&shards);
-        if !plan.is_empty() && !self.router.supports_assignment() {
+        if !plan.is_empty() && !self.tenant.router.supports_assignment() {
             return Err(EngineError::FixedRouting {
-                router: self.router.name(),
+                router: self.tenant.router.name(),
             });
         }
         Ok((before, plan))
@@ -1150,6 +878,14 @@ impl Engine {
         self.session.is_some()
     }
 
+    /// The report of the most recently completed
+    /// [online session](Engine::rebalance_online), if one finished since
+    /// the last call. (Sessions complete inside serving calls, so the
+    /// report is parked here rather than returned from any one of them.)
+    pub fn take_rebalance_report(&mut self) -> Option<RebalanceReport> {
+        self.finished.take()
+    }
+
     /// Advances the active online session by one bounded migration batch.
     /// Returns whether a session is still active afterwards (`false` also
     /// when there was none). Serving traffic steps the session implicitly;
@@ -1162,28 +898,17 @@ impl Engine {
     /// let report = engine.take_rebalance_report().expect("session completed");
     /// # Ok(()) }
     /// ```
+    ///
+    /// The step that empties the plan also finishes the session (defrag
+    /// pass, closing stats, report parking, policy back-off). On a
+    /// migration failure the session is aborted: completed transfers are
+    /// already pinned, unexecuted plan entries are dropped (their objects
+    /// simply stay home), and the error surfaces.
     pub fn rebalance_step(&mut self) -> Result<bool, EngineError> {
-        self.step_session()
-    }
-
-    /// The report of the most recently completed
-    /// [online session](Engine::rebalance_online), if one finished since
-    /// the last call. (Sessions complete inside serving calls, so the
-    /// report is parked here rather than returned from any one of them.)
-    pub fn take_rebalance_report(&mut self) -> Option<RebalanceReport> {
-        self.finished.take()
-    }
-
-    /// Executes one bounded batch of the active session; finishes the
-    /// session (defrag pass, closing stats, report parking, policy
-    /// back-off) when the plan runs dry. Returns whether a session remains
-    /// active. On a migration failure the session is aborted: completed
-    /// transfers are already pinned, unexecuted plan entries are dropped
-    /// (their objects simply stay home), and the error surfaces.
-    fn step_session(&mut self) -> Result<bool, EngineError> {
         let Some(mut session) = self.session.take() else {
             return Ok(false);
         };
+
         let batch: Vec<Migration> = {
             let take = session.batch_objects.min(session.plan.len());
             session.plan.drain(..take).collect()
@@ -1194,19 +919,19 @@ impl Engine {
             // the batch's *source* shards need it — a migrating id still
             // routes to its source until the flip, so no other shard's
             // buffer can hold a request for one — and flushing just those
-            // keeps the rest of the fleet's channel batching intact.
+            // keeps the rest of the fleet's batching intact.
             let mut sources: Vec<usize> = batch.iter().map(|m| m.from).collect();
             sources.sort_unstable();
             sources.dedup();
             for shard in sources {
-                self.flush_shard(shard)?;
+                self.tenant.flush_shard(shard);
             }
             // One span per freeze → copy → flip → resume round.
             self.events
                 .begin(None, "rebalance.batch", batch.len() as u64);
             let outcome = self.migrate(&batch)?;
             for &(id, _, to) in &outcome.completed {
-                self.router.assign(id, to);
+                self.tenant.router.assign(id, to);
             }
             session.batches += 1;
             let (objects, volume) = outcome.totals();
@@ -1232,10 +957,12 @@ impl Engine {
             return Ok(true);
         }
         let defrag = match session.defrag_eps {
-            Some(eps) => self.barrier(|_, reply| Command::Defrag { eps, reply })?,
+            Some(eps) => self
+                .tenant
+                .barrier(|_, reply| Command::Defrag { eps, reply })?,
             None => Vec::new(),
         };
-        let after = self.snapshot_inner()?;
+        let after = self.tenant.snapshot()?;
         self.events
             .end(None, "rebalance.session", session.migrated_volume);
         self.finished = Some(RebalanceReport {
@@ -1284,7 +1011,7 @@ impl Engine {
     /// Feeds one barrier's stats to the auto-rebalance policy and starts an
     /// online session if it fires.
     fn policy_observe(&mut self, stats: &EngineStats) -> Result<(), EngineError> {
-        if self.session.is_some() || !self.router.supports_assignment() {
+        if self.session.is_some() || !self.tenant.router.supports_assignment() {
             return Ok(());
         }
         let Some((policy, opts)) = &mut self.auto else {
@@ -1298,13 +1025,14 @@ impl Engine {
     }
 
     /// Resizes the live engine to `shards` shards, reusing the rebalance
-    /// migration machinery: quiesces, spawns workers for any new shards
-    /// (built by `factory`, like at construction), migrates every object
+    /// migration machinery: quiesces, adds cores for any new shards (built
+    /// by `factory`, like at construction), migrates every object
     /// whose route changes under the new shard count (for a
     /// [`TableRouter`](realloc_common::TableRouter) the rendezvous fallback
     /// keeps that near `1/n` of the population on grows), re-targets the
-    /// router, and retires drained workers on shrinks — their stats and
+    /// router, and retires drained shards on shrinks — their stats and
     /// ledgers are returned by the eventual [`shutdown`](Engine::shutdown).
+    /// Every shard keeps its own worker thread throughout.
     ///
     /// Works with any router (shrinking a hash-routed engine simply migrates
     /// more objects). Per-object request order is preserved: everything
@@ -1323,9 +1051,9 @@ impl Engine {
         F: FnMut(usize) -> BoxedReallocator,
     {
         assert!(shards > 0, "engine needs at least one shard");
-        while self.step_session()? {}
-        let from = self.config.shards;
-        self.quiesce_inner()?;
+        while self.rebalance_step()? {}
+        let from = self.shards();
+        self.tenant.quiesce().wait()?;
         if shards == from {
             return Ok(ResizeReport {
                 from,
@@ -1339,7 +1067,7 @@ impl Engine {
         let mut plan = Vec::new();
         for (shard, list) in extents.iter().enumerate() {
             for &(id, e) in list {
-                let to = self.router.route_at(id, shards);
+                let to = self.tenant.router.route_at(id, shards);
                 debug_assert!(to < shards, "router resize preview out of range");
                 if to != shard {
                     plan.push(Migration {
@@ -1351,8 +1079,11 @@ impl Engine {
                 }
             }
         }
+        // A grow moves onto one worker per shard before the new cores
+        // serve; a shrink moves off the retired ones' workers at the end.
+        self.rehost(shards.max(from));
         for shard in from..shards {
-            self.spawn_shard(shard, factory(shard), 0)?;
+            self.tenant.spawn_core(factory(shard), shard, 0)?;
         }
         let outcome = self.migrate(&plan)?;
         if outcome.first_error.is_some() {
@@ -1367,57 +1098,39 @@ impl Engine {
             // without an assignment table cannot be reconciled — the
             // affected ids route wrongly until shutdown; their extents and
             // ledgers remain readable.
-            let keep = shards.max(from);
-            self.router.set_shards(keep);
-            self.config.shards = keep;
-            if self.router.supports_assignment() {
+            let router = &mut self.tenant.router;
+            router.set_shards(shards.max(from));
+            if router.supports_assignment() {
                 for &(id, _, to) in &outcome.completed {
-                    if self.router.route(id) != to {
-                        self.router.assign(id, to);
+                    if router.route(id) != to {
+                        router.assign(id, to);
                     }
                 }
                 for &(id, source) in &outcome.stranded {
-                    if self.router.route(id) != source {
-                        self.router.assign(id, source);
+                    if router.route(id) != source {
+                        router.assign(id, source);
                     }
                 }
             }
             outcome.surface()?;
         }
-        self.router.set_shards(shards);
+        let router = &mut self.tenant.router;
+        router.set_shards(shards);
         for &(id, _, to) in &outcome.completed {
             // Pin only where the new fallback disagrees (keeps the table
             // minimal; a fresh TableRouter stays assignment-free).
-            if self.router.route(id) != to {
-                self.router.assign(id, to);
+            if router.route(id) != to {
+                router.assign(id, to);
             }
         }
         let (migrated_objects, migrated_volume) = outcome.totals();
-        // Retire drained workers (highest shard first, so indices stay
-        // aligned with the vectors we pop from).
-        for shard in (shards..from).rev() {
-            let (tx, rx) = mpsc::channel();
-            // A retired shard is drained, so its closing checkpoint pins
-            // nothing and records an empty layout.
-            self.send(
-                shard,
-                Command::Finish {
-                    reply: tx,
-                    pins: Vec::new(),
-                },
-            )?;
-            let fin = rx.recv().map_err(|_| EngineError::ShardDown { shard })?;
+        // Retire drained shards, highest first, so indices stay aligned.
+        for _ in shards..from {
+            let fin = self.tenant.retire_core()?;
             debug_assert_eq!(fin.stats.live_count, 0, "retired shard still holds objects");
             self.retired.push(fin);
-            self.senders.pop();
-            if let Some(worker) = self.workers.pop() {
-                let _ = worker.join();
-            }
-            self.stalls.pop();
-            let leftover = self.pending.pop();
-            debug_assert!(leftover.is_none_or(|p| p.is_empty()));
         }
-        self.config.shards = shards;
+        self.rehost(shards);
         self.events.end(None, "resize", migrated_volume);
         Ok(ResizeReport {
             from,
@@ -1443,7 +1156,7 @@ impl Engine {
         if plan.is_empty() {
             return Ok(outcome);
         }
-        let n = self.senders.len();
+        let n = self.shards();
         let mut outs: Vec<Vec<(ObjectId, u64)>> = vec![Vec::new(); n];
         for m in plan {
             // One globally unique sequence number per planned transfer,
@@ -1457,8 +1170,9 @@ impl Engine {
             if ids.is_empty() {
                 continue;
             }
-            let (tx, rx) = mpsc::channel();
-            self.send(shard, Command::MigrateOut { ids, reply: tx })?;
+            let rx = self
+                .tenant
+                .request(shard, |reply| Command::MigrateOut { ids, reply });
             waiting.push((shard, rx));
         }
         let mut released: HashMap<ObjectId, Transfer> = HashMap::new();
@@ -1496,8 +1210,9 @@ impl Engine {
             if objects.is_empty() {
                 continue;
             }
-            let (tx, rx) = mpsc::channel();
-            self.send(shard, Command::MigrateIn { objects, reply: tx })?;
+            let rx = self
+                .tenant
+                .request(shard, |reply| Command::MigrateIn { objects, reply });
             waiting.push((shard, rx));
         }
         let mut adopted = HashSet::new();
@@ -1526,48 +1241,25 @@ impl Engine {
     /// [online session](Engine::rebalance_online) is stepped to completion
     /// first — a shutdown must not strand half a migration plan.
     pub fn shutdown(mut self) -> Result<Vec<ShardFinal>, EngineError> {
-        while self.step_session()? {}
-        let pins = self.router_pins();
-        let mut finals = self.barrier(|shard, reply| Command::Finish {
-            reply,
-            pins: pins[shard].clone(),
-        })?;
-        self.senders.clear();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        while self.rebalance_step()? {}
+        let mut finals = self.tenant.finish()?;
         finals.append(&mut self.retired);
-        Self::surface_first_error(finals.iter().map(|f| (f.stats.shard, &f.first_error)))?;
-        Self::surface_substrate_error(
+        surface(
             finals
                 .iter()
-                .map(|f| (f.stats.shard, &f.first_substrate_error)),
+                .map(|f| (f.stats.shard, &f.first_error, &f.first_substrate_error)),
         )?;
         Ok(finals)
     }
 
     /// Simulated `kill -9` (testing): tears the fleet down with **no**
-    /// final barrier — no quiesce, no checkpoint, no truncation. Commands
-    /// already queued on the channels still drain (each worker loops until
-    /// its channel disconnects), so the crash point is deterministic: state
-    /// the WAL group-committed survives, everything after it is lost. Pair
-    /// with [`Engine::recover`] on the same directory to rebuild.
-    pub fn crash(mut self) {
-        self.senders.clear();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        // Disconnect the channels so workers fall out of their loops, then
-        // join to avoid leaking threads past the engine's lifetime.
-        self.senders.clear();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+    /// final barrier — no quiesce, no checkpoint, no truncation. Partially
+    /// filled batches are dropped unsent; everything already shipped is
+    /// applied first, so the crash point is deterministic: state the WAL
+    /// group-committed survives, everything after it is lost. Pair with
+    /// [`Engine::recover`] on the same directory to rebuild.
+    pub fn crash(self) {
+        self.tenant.crash();
     }
 }
 
@@ -1585,11 +1277,15 @@ mod tests {
         end: u64,
         volume: u64,
         delta: u64,
+        /// While switched on, every insert is refused — a broken
+        /// reallocator rejecting migrate-ins mid-rebalance.
+        fail_inserts: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
     }
 
     impl Reallocator for Bump {
         fn insert(&mut self, id: ObjectId, size: u64) -> Result<Outcome, ReallocError> {
-            if size == 0 {
+            let failing = self.fail_inserts.as_ref();
+            if size == 0 || failing.is_some_and(|f| f.load(std::sync::atomic::Ordering::Relaxed)) {
                 return Err(ReallocError::ZeroSize);
             }
             if self.extents.contains_key(&id) {
@@ -1979,45 +1675,6 @@ mod tests {
         assert_eq!(ins, outs, "every transfer has both halves");
     }
 
-    /// A Bump whose inserts can be switched off — stands in for a
-    /// broken reallocator rejecting migrate-ins mid-rebalance.
-    struct FlakyBump {
-        inner: Bump,
-        fail_inserts: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    }
-    impl Reallocator for FlakyBump {
-        fn insert(&mut self, id: ObjectId, size: u64) -> Result<Outcome, ReallocError> {
-            if self.fail_inserts.load(std::sync::atomic::Ordering::Relaxed) {
-                return Err(ReallocError::ZeroSize);
-            }
-            self.inner.insert(id, size)
-        }
-        fn delete(&mut self, id: ObjectId) -> Result<Outcome, ReallocError> {
-            self.inner.delete(id)
-        }
-        fn extent_of(&self, id: ObjectId) -> Option<Extent> {
-            self.inner.extent_of(id)
-        }
-        fn live_volume(&self) -> u64 {
-            self.inner.live_volume()
-        }
-        fn structure_size(&self) -> u64 {
-            self.inner.structure_size()
-        }
-        fn footprint(&self) -> u64 {
-            self.inner.footprint()
-        }
-        fn max_object_size(&self) -> u64 {
-            self.inner.max_object_size()
-        }
-        fn name(&self) -> &'static str {
-            "flaky-bump"
-        }
-        fn live_count(&self) -> usize {
-            self.inner.live_count()
-        }
-    }
-
     /// A two-shard table-routed engine whose shard 1 rejects inserts
     /// whenever the returned switch is flipped on.
     fn flaky_engine() -> (Engine, std::sync::Arc<std::sync::atomic::AtomicBool>) {
@@ -2029,14 +1686,10 @@ mod tests {
             EngineConfig::with_shards(2),
             Box::new(TableRouter::new(2)),
             move |shard| {
-                if shard == 1 {
-                    Box::new(FlakyBump {
-                        inner: Bump::default(),
-                        fail_inserts: Arc::clone(&fail_factory),
-                    })
-                } else {
-                    Box::new(Bump::default())
-                }
+                Box::new(Bump {
+                    fail_inserts: (shard == 1).then(|| Arc::clone(&fail_factory)),
+                    ..Bump::default()
+                })
             },
         );
         (engine, fail)

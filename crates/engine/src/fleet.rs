@@ -1,17 +1,26 @@
-//! The multi-tenant execution substrate behind the async facade: a small
-//! pool of worker threads serving *every* registered tenant's shard
-//! cores, with optional work stealing between the workers' queues.
+//! The execution substrate behind both facades: a small pool of worker
+//! threads serving every registered tenant's shard cores, with optional
+//! work stealing between the workers' queues.
 //!
 //! ## Shape
 //!
 //! A [`Fleet`] owns `W` worker threads, each with its own FIFO of
 //! `Task`s. A tenant registered via [`Fleet::register`] gets an
-//! [`AsyncEngine`] handle whose shard cores are
-//! plain `ShardWorker` state machines (the *same* type the sync
-//! [`Engine`](crate::Engine) runs on dedicated threads) parked inside
-//! `CoreCell`s; each core is *homed* on one worker queue. Thousands of
-//! tenants therefore cost thousands of heap-allocated cores, not
-//! thousands of threads.
+//! [`AsyncEngine`] handle whose shard cores are plain `ShardWorker`
+//! state machines parked inside `CoreCell`s; each core is *homed* on one
+//! worker queue. Thousands of tenants therefore cost thousands of
+//! heap-allocated cores, not thousands of threads. The sync
+//! [`Engine`](crate::Engine) is one tenant on a private fleet of its
+//! own: stealing off, one worker per shard, core `i` homed on worker `i`.
+//!
+//! ## Faults
+//!
+//! A panic inside a core's state machine (a broken reallocator) retires
+//! that core, not the pool thread: the worker catches the unwind and
+//! drops the core's state. Later commands for it are dropped unserved —
+//! their reply channels close, so barriers report
+//! [`EngineError::ShardDown`] — but their completion slots still fire.
+//! Every other core on the worker keeps serving.
 //!
 //! ## The steal protocol (queues, not objects)
 //!
@@ -58,6 +67,7 @@
 //! with peek-before-take it is unreachable.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, TryLockError};
@@ -71,7 +81,7 @@ use realloc_telemetry::Histogram;
 use crate::async_facade::AsyncEngine;
 use crate::engine::{EngineConfig, EngineError};
 use crate::metrics::StealStats;
-use crate::shard::{Command, ShardWorker};
+use crate::shard::{clear_stale_wal, Command, ShardWorker};
 
 /// How a [`Fleet`] is shaped: worker-thread count and whether idle
 /// workers steal queued batches from backlogged peers.
@@ -136,11 +146,10 @@ impl StealTelemetry {
     }
 }
 
-/// What fleet workers execute. `Apply` drives the core's state machine
-/// (the same [`Command`]s a sync shard thread serves); `Fence` is a pure
-/// ordering barrier — it touches no core state, it just occupies a slot
-/// in the apply sequence so its completion slots resolve only after
-/// everything enqueued before it.
+/// What fleet workers execute. `Apply` drives the core's state machine;
+/// `Fence` is a pure ordering barrier — it touches no core state, it just
+/// occupies a slot in the apply sequence so its completion slots resolve
+/// only after everything enqueued before it.
 pub(crate) enum TaskCmd {
     Apply(Command),
     Fence,
@@ -159,7 +168,8 @@ pub(crate) struct Task {
 
 /// The part of a core only its current executor may touch.
 pub(crate) struct CoreState {
-    /// The shard state machine; `None` after its `Finish` barrier.
+    /// The shard state machine; `None` after its `Finish` barrier or a
+    /// panic inside it.
     pub(crate) worker: Option<ShardWorker>,
     /// Seq of the next task this core may apply — the order guard that
     /// makes stealing invisible to per-object request order.
@@ -167,9 +177,9 @@ pub(crate) struct CoreState {
 }
 
 /// One tenant shard parked in the fleet: the worker state machine, its
-/// apply-sequence guard, and the bounded-intake counter that gives the
-/// async facade the same backpressure as the sync engine's
-/// `sync_channel(queue_depth)`.
+/// apply-sequence guard, and the admission counter that bounds how many
+/// of its tasks may be queued or running (`queue_depth`) — the intake's
+/// backpressure.
 pub(crate) struct CoreCell {
     /// Index of the worker queue this core's tasks are enqueued on.
     pub(crate) home: usize,
@@ -184,7 +194,7 @@ pub(crate) struct CoreCell {
 
 impl CoreCell {
     pub(crate) fn new(
-        worker: ShardWorker,
+        worker: Option<ShardWorker>,
         home: usize,
         depth: usize,
         steal: Arc<StealTelemetry>,
@@ -193,7 +203,7 @@ impl CoreCell {
             home,
             depth,
             state: Mutex::new(CoreState {
-                worker: Some(worker),
+                worker,
                 next_apply: 0,
             }),
             inflight: Mutex::new(0),
@@ -203,9 +213,8 @@ impl CoreCell {
     }
 
     /// Blocks until the core has an admission slot free, then takes it.
-    /// Mirrors the sync engine's blocking `send` on a full shard channel,
-    /// including its stall accounting: only an admit that actually found
-    /// the core full pays a clock read and records an observation.
+    /// Only an admit that actually found the core full pays a clock read
+    /// and records a stall observation.
     pub(crate) fn admit(&self, stall: Option<&Histogram>) {
         let mut inflight = self.inflight.lock().expect("core inflight poisoned");
         if *inflight >= self.depth {
@@ -260,7 +269,7 @@ pub(crate) struct FleetShared {
 /// fleet. Tenant handles must not outlive the fleet: once it is gone,
 /// their futures resolve immediately and new work is silently dropped.
 pub struct Fleet {
-    shared: Arc<FleetShared>,
+    pub(crate) shared: Arc<FleetShared>,
     threads: Vec<JoinHandle<()>>,
     next_home: AtomicUsize,
     next_tenant: AtomicUsize,
@@ -316,11 +325,8 @@ impl Fleet {
     where
         F: FnMut(usize) -> BoxedReallocator,
     {
-        let workers = self.shared.queues.len();
-        self.build_tenant(config, router, factory, None, move |fleet| {
-            fleet.next_home.fetch_add(1, Ordering::Relaxed) % workers
-        })
-        .expect("spawning cores without a WAL cannot fail")
+        self.build_tenant(config, router, factory, None, None)
+            .expect("spawning cores without a WAL cannot fail")
     }
 
     /// [`register`](Fleet::register), but every core homed on one
@@ -346,7 +352,7 @@ impl Fleet {
             "pinned worker {worker} out of range ({} workers)",
             self.shared.queues.len()
         );
-        self.build_tenant(config, router, factory, None, move |_| worker)
+        self.build_tenant(config, router, factory, None, Some(worker))
             .expect("spawning cores without a WAL cannot fail")
     }
 
@@ -370,51 +376,30 @@ impl Fleet {
         F: FnMut(usize) -> BoxedReallocator,
     {
         let dir = wal_dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir).map_err(|e| EngineError::Wal {
-            detail: format!("create {}: {e}", dir.display()),
-        })?;
-        let entries = std::fs::read_dir(&dir).map_err(|e| EngineError::Wal {
-            detail: format!("scan {}: {e}", dir.display()),
-        })?;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let stale = path
-                .extension()
-                .is_some_and(|ext| ext == "wal" || ext == "ckpt");
-            if stale {
-                std::fs::remove_file(&path).map_err(|e| EngineError::Wal {
-                    detail: format!("remove stale {}: {e}", path.display()),
-                })?;
-            }
-        }
-        let workers = self.shared.queues.len();
-        self.build_tenant(config, router, factory, Some(dir), move |fleet| {
-            fleet.next_home.fetch_add(1, Ordering::Relaxed) % workers
-        })
+        clear_stale_wal(&dir)?;
+        self.build_tenant(config, router, factory, Some(dir), None)
     }
 
     fn build_tenant<F>(
         &self,
         config: EngineConfig,
         router: Box<dyn Router>,
-        factory: F,
+        mut factory: F,
         wal_dir: Option<std::path::PathBuf>,
-        mut home: impl FnMut(&Fleet) -> usize,
+        pinned: Option<usize>,
     ) -> Result<AsyncEngine, EngineError>
     where
         F: FnMut(usize) -> BoxedReallocator,
     {
         let tenant = self.next_tenant.fetch_add(1, Ordering::Relaxed);
-        let homes: Vec<usize> = (0..config.shards).map(|_| home(self)).collect();
-        AsyncEngine::build(
-            Arc::clone(&self.shared),
-            tenant,
-            config,
-            router,
-            factory,
-            wal_dir,
-            &homes,
-        )
+        let mut engine =
+            AsyncEngine::new(Arc::clone(&self.shared), tenant, config, router, wal_dir);
+        for shard in 0..config.shards {
+            let home = pinned
+                .unwrap_or_else(|| self.next_home.fetch_add(1, Ordering::Relaxed) % self.workers());
+            engine.spawn_core(factory(shard), home, 0)?;
+        }
+        Ok(engine)
     }
 
     /// Worker-thread count.
@@ -537,8 +522,12 @@ fn run_own(shared: &FleetShared, task: Task) {
         Err(TryLockError::Poisoned(e)) => panic!("core state poisoned: {e}"),
     };
     if state.next_apply != task.seq {
+        // Defensive: unreachable by construction (see the module docs),
+        // kept so a future protocol change fails soft instead of
+        // reordering — count it and hand the batch back in core order.
         drop(state);
-        conflict(shared, task);
+        mark_conflict(shared, &task.core);
+        requeue(shared, task);
         std::thread::yield_now();
         return;
     }
@@ -644,17 +633,13 @@ fn best_victim(shared: &FleetShared, me: usize) -> Option<usize> {
 /// Applies a task whose turn has come on a locked core, then — with the
 /// core lock released — returns the admission slot and fulfils the
 /// completion slots, so an awaiting client observes an unlocked core
-/// with capacity free.
+/// with capacity free. A panicking state machine retires its core (see
+/// the module docs); the command it was serving is dropped with it.
 fn apply<'a>(core: &'a Arc<CoreCell>, mut state: std::sync::MutexGuard<'a, CoreState>, task: Task) {
-    match task.cmd {
-        TaskCmd::Apply(cmd) => {
-            if let Some(worker) = state.worker.as_mut() {
-                if worker.handle(cmd) {
-                    state.worker = None;
-                }
-            }
+    if let (TaskCmd::Apply(cmd), Some(worker)) = (task.cmd, state.worker.as_mut()) {
+        if catch_unwind(AssertUnwindSafe(|| worker.handle(cmd))).unwrap_or(true) {
+            state.worker = None;
         }
-        TaskCmd::Fence => {}
     }
     state.next_apply += 1;
     drop(state);
@@ -673,15 +658,6 @@ fn mark_conflict(shared: &FleetShared, core: &CoreCell) {
         .totals
         .steal_conflicts
         .fetch_add(1, Ordering::Relaxed);
-}
-
-/// The home worker's defensive conflict arm: count, then hand the batch
-/// back to its own queue in core order. Unreachable by construction
-/// (see the module docs) but kept so a future protocol change fails
-/// soft instead of reordering.
-fn conflict(shared: &FleetShared, task: Task) {
-    mark_conflict(shared, &task.core);
-    requeue(shared, task);
 }
 
 /// Re-enqueues a task on its home queue, directly in front of the first

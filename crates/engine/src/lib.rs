@@ -4,11 +4,11 @@
 //! The algorithm crates serve one request at a time on the caller's thread.
 //! This crate turns any of them into a *service*: an [`Engine`] routes
 //! requests through a pluggable [`Router`] across `N` *shards*, each a
-//! dedicated worker thread owning one boxed
+//! state machine owning one boxed
 //! [`Reallocator`](realloc_common::Reallocator) and its own
-//! [`Ledger`](realloc_common::Ledger), fed through a bounded channel in
-//! *batches* (amortizing channel overhead the way buffer flushes amortize
-//! moves).
+//! [`Ledger`](realloc_common::Ledger), served by its own worker thread and
+//! fed in *batches* through an admission-bounded queue (amortizing the
+//! hand-off the way buffer flushes amortize moves).
 //!
 //! ## The routing layer
 //!
@@ -105,8 +105,10 @@
 //! [`Fleet`] — a small worker pool multiplexing thousands of
 //! lightweight engines, optionally stealing whole queued batches from
 //! backlogged peers (see the [`fleet`] module docs for the steal
-//! protocol and its order guarantees). The sync facade stays the
-//! default and is untouched by any of it.
+//! protocol and its order guarantees). There is one intake behind both
+//! facades: an [`Engine`] is an `AsyncEngine` tenant on a private fleet
+//! with one worker per shard, plus the rebalancing, resizing, and
+//! journaling only the sync handle offers.
 //!
 //! [`Engine::drive`] replays a whole [`Workload`](workload_gen::Workload)
 //! by splitting it into per-shard streams (preserving per-object request
@@ -115,8 +117,10 @@
 //! Request-level errors ([`ReallocError`](realloc_common::ReallocError))
 //! surface at the next barrier ([`Engine::quiesce`], [`Engine::snapshot`],
 //! [`Engine::shutdown`]) rather than at the enqueueing call — the price of
-//! pipelining. Worker threads never panic on bad requests; they count the
-//! error and keep serving.
+//! pipelining. Shards never panic on bad requests; they count the error
+//! and keep serving. A shard whose reallocator *does* panic is retired
+//! without taking its worker thread down, and every later barrier reports
+//! it as [`EngineError::ShardDown`].
 
 pub mod async_facade;
 pub mod engine;

@@ -65,9 +65,9 @@ impl DeviceProfile {
         DeviceProfile::ALL.into_iter().find(|p| p.name() == text)
     }
 
-    /// Builds the priced model. Called inside each worker thread —
-    /// [`DeviceModel`] boxes a cost function and is neither `Clone` nor
-    /// `Send`, so the profile (which is both) is what crosses the spawn.
+    /// Builds the priced model, once per shard core. [`DeviceModel`]
+    /// boxes a cost function and is not `Clone`, so the profile (which
+    /// is `Copy`) is what the configuration carries.
     pub fn build(self) -> DeviceModel {
         match self {
             DeviceProfile::Unit => DeviceModel::new(Box::new(cost_model::Unit), 1.0),
@@ -92,7 +92,7 @@ pub(crate) enum SimLane {
 
 /// The worker-side telemetry state: histograms the shard records into and
 /// the optional device model that prices its op stream. Owned by the
-/// worker thread, snapshotted at barriers.
+/// shard's state machine, snapshotted at barriers.
 pub(crate) struct ShardTelemetry {
     pub device: Option<DeviceModel>,
     /// Wall nanoseconds per `Command::Batch` (serve + verify + commit).
@@ -207,9 +207,9 @@ pub struct ShardMetrics {
     /// Wall-clock nanoseconds per non-empty WAL group commit
     /// (observation).
     pub commit_latency_ns: HistogramSnapshot,
-    /// Wall-clock nanoseconds the engine spent blocked pushing a batch
-    /// into this shard's full channel — one observation per send that
-    /// found the queue full (observation; recorded engine-side).
+    /// Wall-clock nanoseconds the intake spent blocked shipping a batch
+    /// to this shard at its admission bound — one observation per ship
+    /// that found the shard full (observation; recorded intake-side).
     pub intake_stall_ns: HistogramSnapshot,
 }
 

@@ -107,6 +107,7 @@ fn wal_err(detail: String) -> EngineError {
 /// and are merged in shard index order, which keeps recovery
 /// byte-deterministic (same owner map, same report, same ordering of
 /// duplicates and resurrections as the old sequential fold).
+#[derive(Default)]
 struct ShardFold {
     live: BTreeMap<ObjectId, Tracked>,
     /// Every journaled `MigrateOut` as (xfer, id, size, source shard).
@@ -124,15 +125,7 @@ struct ShardFold {
 /// shard). Frames whose epoch predates the checkpoint are skipped; a
 /// torn tail was already discarded by the frame reader.
 fn fold_shard(dir: &Path, shard: usize) -> Result<ShardFold, EngineError> {
-    let mut fold = ShardFold {
-        live: BTreeMap::new(),
-        outs: Vec::new(),
-        arrived: Vec::new(),
-        max_xfer: 0,
-        checkpoint_objects: 0,
-        replayed_groups: 0,
-        replayed_records: 0,
-    };
+    let mut fold = ShardFold::default();
     let ckpt = read_checkpoint(&checkpoint_path(dir, shard))
         .map_err(|e| wal_err(format!("shard {shard} checkpoint: {e}")))?;
     let epoch = ckpt.as_ref().map_or(0, |c| c.epoch);
@@ -359,12 +352,12 @@ impl Engine {
             streams[shard].push(workload_gen::Request::Insert { id, size });
         }
         let mut engine = Engine::build(config, Box::new(router), factory, Some(dir), 1)?;
-        engine.set_xfer_seq(max_xfer + 1);
+        engine.xfer_seq = max_xfer + 1;
         engine.drive_streams(streams)?;
         engine.quiesce()?;
         report.substrate = engine.verify_substrate()?;
         spans.end(None, "recover.reseed", report.volume);
-        engine.install_events(spans);
+        engine.events = spans;
         Ok((engine, report))
     }
 }

@@ -1,26 +1,27 @@
-//! The shard worker: one thread, one reallocator, one ledger.
+//! The shard worker: one state machine, one reallocator, one ledger.
 //!
-//! A worker loops on its command channel. `Command::Batch` carries a run
-//! of requests (the engine batches to amortize channel overhead); the
-//! other commands are *barriers* — the engine sends them after flushing its
-//! pending batches, so by the time a reply arrives every earlier request
-//! has been served. Workers never panic on bad requests: a rejected
-//! insert/delete is counted, remembered (first occurrence), and serving
-//! continues, mirroring how a real service would 400 one request without
-//! tearing down the shard.
+//! A fleet worker thread applies a core's commands one at a time, in the
+//! order the intake shipped them. `Command::Batch` carries a run of
+//! requests (the intake batches to amortize hand-off overhead); the
+//! other commands are *barriers* — the intake ships them after flushing
+//! its pending batches, so by the time a reply arrives every earlier
+//! request has been served. Workers never panic on bad requests: a
+//! rejected insert/delete is counted, remembered (first occurrence), and
+//! serving continues, mirroring how a real service would 400 one request
+//! without tearing down the shard.
 //!
 //! The migration commands (`Command::MigrateOut` / `Command::MigrateIn`)
 //! are the shard half of the engine's cross-shard rebalance protocol. In
 //! barrier mode they arrive at a quiesce barrier; in online mode they arrive
-//! in the ordinary command stream, where channel FIFO order *is* the freeze:
-//! every request enqueued before the migrate-out is served before the object
+//! in the ordinary command stream, where FIFO order *is* the freeze: every
+//! request enqueued before the migrate-out is served before the object
 //! leaves. Either way a migrate-out drains the reallocator before replying,
 //! so the object is fully gone from this shard before the engine re-inserts
 //! it elsewhere (no instant at which one id is live on two shards).
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Sender;
 
 use realloc_common::{
     Extent, Ledger, ObjectId, OpKind, OpRecord, Outcome, ReallocError, Reallocator, StorageOp,
@@ -36,8 +37,8 @@ use crate::stats::ShardStats;
 use crate::substrate::{ShardSubstrate, SubstrateReport, Transfer, TransferPayload};
 
 /// One shard's durability state: the write-ahead log appender plus the
-/// path of the checkpoint file that truncates it. Owned by the worker
-/// thread — journaling happens where the ops are applied, so the log's
+/// path of the checkpoint file that truncates it. Owned by the shard's
+/// state machine — journaling happens where the ops are applied, so the log's
 /// record order is exactly the shard's apply order.
 pub(crate) struct ShardJournal {
     pub writer: WalWriter,
@@ -53,6 +54,27 @@ impl ShardJournal {
         let writer = WalWriter::open(&wal_path(dir, shard), epoch)?;
         Ok(ShardJournal { writer, ckpt })
     }
+}
+
+/// Prepares `dir` for a fresh durable fleet: creates it, then removes
+/// every stale `*.wal`/`*.ckpt` file — a fresh fleet's history starts
+/// now. (Resuming from existing logs is [`Engine::recover`](crate::Engine::recover).)
+pub(crate) fn clear_stale_wal(dir: &Path) -> Result<(), crate::EngineError> {
+    let wal_err = |detail: String| crate::EngineError::Wal { detail };
+    std::fs::create_dir_all(dir).map_err(|e| wal_err(format!("create {}: {e}", dir.display())))?;
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| wal_err(format!("scan {}: {e}", dir.display())))?;
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path
+            .extension()
+            .is_some_and(|ext| ext == "wal" || ext == "ckpt")
+        {
+            std::fs::remove_file(&path)
+                .map_err(|e| wal_err(format!("remove stale {}: {e}", path.display())))?;
+        }
+    }
+    Ok(())
 }
 
 /// The first request a shard's reallocator rejected.
@@ -94,7 +116,7 @@ pub struct ShardFinal {
     pub first_substrate_error: Option<String>,
 }
 
-/// What the engine sends down a shard's channel.
+/// What the intake ships to a shard core.
 pub(crate) enum Command {
     /// Serve a run of requests in order.
     Batch(Vec<Request>),
@@ -177,7 +199,7 @@ pub(crate) enum Command {
     /// verification scan must fail — and stay failed, since integrity
     /// violations are sticky.
     CorruptSubstrate(Sender<Option<ObjectId>>),
-    /// Final barrier: reply with stats + ledger and exit the thread. Like
+    /// Final barrier: reply with stats + ledger and retire the core. Like
     /// `Quiesce`, a WAL'd shard checkpoints (with the same router `pins`)
     /// before replying, so a cleanly shut down fleet recovers from its
     /// checkpoints alone.
@@ -189,7 +211,7 @@ pub(crate) enum Command {
     },
 }
 
-/// Worker-thread state.
+/// One shard's state machine.
 pub(crate) struct ShardWorker {
     shard: usize,
     realloc: Box<dyn Reallocator + Send>,
@@ -242,27 +264,31 @@ pub(crate) struct ShardWorker {
 }
 
 impl ShardWorker {
-    #[allow(clippy::too_many_arguments)] // one flat wiring point for the worker's collaborators
-    pub(crate) fn new(
+    /// Builds a worker from the engine's configuration: substrate,
+    /// journal, and telemetry set up identically for every core.
+    pub(crate) fn build(
+        config: &crate::EngineConfig,
         shard: usize,
         realloc: Box<dyn Reallocator + Send>,
-        substrate: Option<ShardSubstrate>,
-        record_ledger: bool,
-        coalesce: bool,
-        journal: Option<ShardJournal>,
+        wal_dir: Option<&Path>,
         recoveries: u64,
-        telemetry: Option<ShardTelemetry>,
-    ) -> Self {
-        ShardWorker {
+    ) -> Result<ShardWorker, crate::EngineError> {
+        let journal = wal_dir
+            .map(|dir| ShardJournal::open(dir, shard))
+            .transpose()
+            .map_err(|e| crate::EngineError::Wal {
+                detail: format!("open shard {shard} journal: {e}"),
+            })?;
+        Ok(ShardWorker {
             shard,
             realloc,
-            substrate,
+            substrate: config.substrate.map(|s| s.build(shard)),
             journal,
             recoveries,
             first_substrate_error: None,
-            telemetry,
-            record_ledger,
-            coalesce,
+            telemetry: config.telemetry.then(|| ShardTelemetry::new(config.device)),
+            record_ledger: config.record_ledger,
+            coalesce: config.coalesce,
             ledger: Ledger::new(),
             live: HashSet::new(),
             requests: 0,
@@ -280,190 +306,142 @@ impl ShardWorker {
             defrag_runs: 0,
             defrag_moves: 0,
             max_settled_ratio: 0.0,
-        }
-    }
-
-    /// Builds a worker from the engine's configuration — the wiring point
-    /// shared by the dedicated-thread engine ([`crate::Engine`]) and the
-    /// multi-tenant fleet ([`crate::Fleet`]), so both front-ends get
-    /// identical substrate, journal, and telemetry setup.
-    pub(crate) fn build(
-        config: &crate::EngineConfig,
-        shard: usize,
-        realloc: Box<dyn Reallocator + Send>,
-        wal_dir: Option<&Path>,
-        recoveries: u64,
-    ) -> Result<ShardWorker, crate::EngineError> {
-        let substrate = config.substrate.map(|s| s.build(shard));
-        let journal = match wal_dir {
-            Some(dir) => {
-                Some(
-                    ShardJournal::open(dir, shard).map_err(|e| crate::EngineError::Wal {
-                        detail: format!("open shard {shard} journal: {e}"),
-                    })?,
-                )
-            }
-            None => None,
-        };
-        let telemetry = config.telemetry.then(|| ShardTelemetry::new(config.device));
-        Ok(ShardWorker::new(
-            shard,
-            realloc,
-            substrate,
-            config.record_ledger,
-            config.coalesce,
-            journal,
-            recoveries,
-            telemetry,
-        ))
-    }
-
-    /// The worker loop. Returns when told to [`Command::Finish`] or when
-    /// every engine-side sender is gone.
-    pub(crate) fn run(mut self, rx: Receiver<Command>) {
-        while let Ok(cmd) = rx.recv() {
-            if self.handle(cmd) {
-                return;
-            }
-        }
+        })
     }
 
     /// Applies one command against this worker's state — the single entry
-    /// point both the dedicated shard thread ([`run`](Self::run)) and a
-    /// fleet worker (possibly a *thief* applying a stolen batch) use, so
-    /// stealing can never change what a command does, only where it runs.
-    /// Returns `true` once [`Command::Finish`] has been served; the worker
+    /// point every fleet worker (home or *thief* applying a stolen batch)
+    /// uses, so stealing can never change what a command does, only where
+    /// it runs. Returns `true` once [`Command::Finish`] has been served; the worker
     /// must not be handed further commands after that.
     pub(crate) fn handle(&mut self, cmd: Command) -> bool {
-        {
-            match cmd {
-                Command::Batch(reqs) => {
-                    self.batches += 1;
-                    let started = self.telemetry.as_mut().map(|t| {
-                        t.batch_sim_accum = 0.0;
-                        std::time::Instant::now()
-                    });
-                    let raw = reqs.len() as u64;
-                    let applied = if self.coalesce {
-                        self.serve_planned(reqs)
-                    } else {
-                        for req in reqs {
-                            self.serve(req);
-                        }
-                        raw
-                    };
-                    if self
-                        .substrate
-                        .as_ref()
-                        .is_some_and(|s| s.cadence().at_batches())
-                    {
-                        self.verify_substrate();
+        match cmd {
+            Command::Batch(reqs) => {
+                self.batches += 1;
+                let started = self.telemetry.as_mut().map(|t| {
+                    t.batch_sim_accum = 0.0;
+                    std::time::Instant::now()
+                });
+                let raw = reqs.len() as u64;
+                let applied = if self.coalesce {
+                    self.serve_planned(reqs)
+                } else {
+                    for req in reqs {
+                        self.serve(req);
                     }
-                    // Group commit: the whole batch's records become one
-                    // durable frame — one fsync per batch, not per op.
-                    self.wal_commit();
-                    if let (Some(t), Some(start)) = (self.telemetry.as_mut(), started) {
-                        t.batch_raw_requests.record(raw);
-                        t.batch_planned_requests.record(applied);
-                        t.batch_service_ns.record(start.elapsed().as_nanos() as u64);
-                        if t.device.is_some() {
-                            t.batch_sim_us.record(t.batch_sim_accum.round() as u64);
-                        }
+                    raw
+                };
+                if self
+                    .substrate
+                    .as_ref()
+                    .is_some_and(|s| s.cadence().at_batches())
+                {
+                    self.verify_substrate();
+                }
+                // Group commit: the whole batch's records become one
+                // durable frame — one fsync per batch, not per op.
+                self.wal_commit();
+                if let (Some(t), Some(start)) = (self.telemetry.as_mut(), started) {
+                    t.batch_raw_requests.record(raw);
+                    t.batch_planned_requests.record(applied);
+                    t.batch_service_ns.record(start.elapsed().as_nanos() as u64);
+                    if t.device.is_some() {
+                        t.batch_sim_us.record(t.batch_sim_accum.round() as u64);
                     }
                 }
-                Command::Quiesce { reply, pins } => {
-                    let outcome = self.realloc.quiesce();
-                    self.absorb(&outcome, SimLane::Serve);
-                    self.verify_substrate_at_barrier();
-                    self.wal_checkpoint(&pins);
-                    let _ = reply.send(self.reply());
-                }
-                Command::Snapshot(reply) => {
-                    self.verify_substrate_at_barrier();
-                    let _ = reply.send(self.reply());
-                }
-                Command::Metrics(reply) => {
-                    let _ = reply.send((self.reply(), self.metrics()));
-                }
-                Command::Extents(reply) => {
-                    let _ = reply.send(self.live_extents());
-                }
-                Command::MigrateOut { ids, reply } => {
-                    let mut released = Vec::with_capacity(ids.len());
-                    for (id, xfer) in ids {
-                        if !self.live.contains(&id) {
-                            // Deleted by serving traffic since the plan was
-                            // drawn (online mode only) — nothing to re-home.
-                            continue;
-                        }
-                        if let Some(transfer) = self.migrate_out(id, xfer) {
-                            released.push(transfer);
-                        }
+            }
+            Command::Quiesce { reply, pins } => {
+                let outcome = self.realloc.quiesce();
+                self.absorb(&outcome, SimLane::Serve);
+                self.verify_substrate_at_barrier();
+                self.wal_checkpoint(&pins);
+                let _ = reply.send(self.reply());
+            }
+            Command::Snapshot(reply) => {
+                self.verify_substrate_at_barrier();
+                let _ = reply.send(self.reply());
+            }
+            Command::Metrics(reply) => {
+                let _ = reply.send((self.reply(), self.metrics()));
+            }
+            Command::Extents(reply) => {
+                let _ = reply.send(self.live_extents());
+            }
+            Command::MigrateOut { ids, reply } => {
+                let mut released = Vec::with_capacity(ids.len());
+                for (id, xfer) in ids {
+                    if !self.live.contains(&id) {
+                        // Deleted by serving traffic since the plan was
+                        // drawn (online mode only) — nothing to re-home.
+                        continue;
                     }
-                    // Drain deferred deletes (the deamortized structure logs
-                    // them) so the objects are fully gone before the engine
-                    // re-inserts them on their target shards.
-                    let outcome = self.realloc.quiesce();
-                    self.absorb(&outcome, SimLane::Migrate);
-                    // Ordered commit, source half: the `MigrateOut` records
-                    // are durable *before* the ack reaches the engine, so
-                    // no transfer can arrive anywhere whose departure a
-                    // crash could un-write.
-                    self.wal_commit();
-                    let _ = reply.send((self.reply(), released));
-                }
-                Command::MigrateIn { objects, reply } => {
-                    let mut adopted = Vec::with_capacity(objects.len());
-                    for transfer in objects {
-                        let id = transfer.id;
-                        if self.migrate_in(transfer) {
-                            adopted.push(id);
-                        }
+                    if let Some(transfer) = self.migrate_out(id, xfer) {
+                        released.push(transfer);
                     }
-                    // Ordered commit, target half: `MigrateIn` and its
-                    // `RouteFlip` share this frame, so a recovered fleet
-                    // never sees an adopted object without its flip (or
-                    // vice versa) — the id is live on exactly one shard
-                    // after replay, whichever instant the crash hit.
-                    self.wal_commit();
-                    let _ = reply.send((self.reply(), adopted));
                 }
-                Command::Defrag { eps, reply } => {
-                    let _ = reply.send(self.defrag(eps));
-                }
-                Command::VerifySubstrate(reply) => {
-                    let _ = reply.send(self.substrate_report());
-                }
-                Command::DumpSubstrate(reply) => {
-                    let dump = self
-                        .substrate
-                        .as_ref()
-                        .map(|s| s.contents())
-                        .unwrap_or_default();
-                    let _ = reply.send(dump);
-                }
-                Command::CorruptSubstrate(reply) => {
-                    let _ = reply.send(
-                        self.substrate
-                            .as_mut()
-                            .and_then(|s| s.corrupt_first_object()),
-                    );
-                }
-                Command::Finish { reply, pins } => {
-                    // The final scan runs at every cadence (including
-                    // `Final`, whose whole point it is).
-                    if self.substrate.is_some() {
-                        self.verify_substrate();
+                // Drain deferred deletes (the deamortized structure logs
+                // them) so the objects are fully gone before the engine
+                // re-inserts them on their target shards.
+                let outcome = self.realloc.quiesce();
+                self.absorb(&outcome, SimLane::Migrate);
+                // Ordered commit, source half: the `MigrateOut` records
+                // are durable *before* the ack reaches the engine, so
+                // no transfer can arrive anywhere whose departure a
+                // crash could un-write.
+                self.wal_commit();
+                let _ = reply.send((self.reply(), released));
+            }
+            Command::MigrateIn { objects, reply } => {
+                let mut adopted = Vec::with_capacity(objects.len());
+                for transfer in objects {
+                    let id = transfer.id;
+                    if self.migrate_in(transfer) {
+                        adopted.push(id);
                     }
-                    self.wal_checkpoint(&pins);
-                    let _ = reply.send(ShardFinal {
-                        stats: self.snapshot(),
-                        ledger: std::mem::take(&mut self.ledger),
-                        first_error: self.first_error,
-                        first_substrate_error: self.first_substrate_error.clone(),
-                    });
-                    return true;
                 }
+                // Ordered commit, target half: `MigrateIn` and its
+                // `RouteFlip` share this frame, so a recovered fleet
+                // never sees an adopted object without its flip (or
+                // vice versa) — the id is live on exactly one shard
+                // after replay, whichever instant the crash hit.
+                self.wal_commit();
+                let _ = reply.send((self.reply(), adopted));
+            }
+            Command::Defrag { eps, reply } => {
+                let _ = reply.send(self.defrag(eps));
+            }
+            Command::VerifySubstrate(reply) => {
+                let _ = reply.send(self.substrate_report());
+            }
+            Command::DumpSubstrate(reply) => {
+                let dump = self
+                    .substrate
+                    .as_ref()
+                    .map(|s| s.contents())
+                    .unwrap_or_default();
+                let _ = reply.send(dump);
+            }
+            Command::CorruptSubstrate(reply) => {
+                let _ = reply.send(
+                    self.substrate
+                        .as_mut()
+                        .and_then(|s| s.corrupt_first_object()),
+                );
+            }
+            Command::Finish { reply, pins } => {
+                // The final scan runs at every cadence (including
+                // `Final`, whose whole point it is).
+                if self.substrate.is_some() {
+                    self.verify_substrate();
+                }
+                self.wal_checkpoint(&pins);
+                let _ = reply.send(ShardFinal {
+                    stats: self.snapshot(),
+                    ledger: std::mem::take(&mut self.ledger),
+                    first_error: self.first_error,
+                    first_substrate_error: self.first_substrate_error.clone(),
+                });
+                return true;
             }
         }
         false

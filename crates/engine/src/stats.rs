@@ -16,7 +16,7 @@ pub struct ShardStats {
     pub algorithm: &'static str,
     /// Requests served (including failed ones).
     pub requests: u64,
-    /// Batches received over the channel.
+    /// Batches this shard applied.
     pub batches: u64,
     /// Requests the batch planner merged within surviving chains (a
     /// delete + reinsert collapsed into one resize, or elided entirely at

@@ -45,7 +45,7 @@ pub enum VerifyCadence {
     #[default]
     Quiesce,
     /// Additionally verify after every served request batch: one `O(V)`
-    /// scan per shard per channel batch. Orders of magnitude more scans
+    /// scan per shard per served batch. Orders of magnitude more scans
     /// than `Quiesce` — a debugging cadence that localizes a divergence to
     /// one batch, not a serving configuration.
     Batch,

@@ -96,7 +96,9 @@ proptest! {
 
     /// A sharded engine is observationally equivalent to replaying each
     /// shard's sub-sequence standalone: identical placements, identical
-    /// space telemetry, every object on exactly one shard.
+    /// space telemetry, every object on exactly one shard. Checked for the
+    /// sync `Engine` and for an `AsyncEngine` tenant on a stealing fleet,
+    /// each against the unsharded replay rather than against the other.
     #[test]
     fn engine_equals_standalone_per_shard(
         ops in op_sequence(),
@@ -105,62 +107,47 @@ proptest! {
     ) {
         let workload = materialize(&ops);
         let parts = split_with(&workload, shards, |id| shard_of(id, shards));
+        let config = EngineConfig {
+            batch: 32,
+            queue_depth: 2,
+            ..EngineConfig::with_shards(shards)
+        }
+        .with_substrate(SubstrateConfig::default());
 
         for variant in VARIANTS {
-            let mut engine = Engine::new(
-                EngineConfig {
-                    batch: 32,
-                    queue_depth: 2,
-                    ..EngineConfig::with_shards(shards)
-                }
-                .with_substrate(SubstrateConfig::default()),
-                |_| build(variant, eps),
-            );
+            let mut engine = Engine::new(config, |_| build(variant, eps));
             engine.drive(&workload).expect("drive");
             // The quiesce barrier also runs each shard's substrate scan
             // (extents against the reallocator, bytes against checksums).
-            let stats = engine.quiesce().expect("quiesce");
-            let engine_extents = engine.extents().expect("extents");
-            let engine_bytes = engine.substrate_contents().expect("contents");
+            let sync = (
+                engine.quiesce().expect("quiesce"),
+                engine.extents().expect("extents"),
+                engine.substrate_contents().expect("contents"),
+            );
 
-            let mut total_objects = 0usize;
-            for (s, part) in parts.iter().enumerate() {
-                let (expected_extents, standalone, reference_bytes) =
-                    standalone_replay(variant, eps, part);
-                prop_assert_eq!(
-                    &engine_extents[s], &expected_extents,
-                    "{}: shard {} placements diverge", variant, s
-                );
-                // Same *bytes*, not just the same extents: the shard's
-                // substrate holds exactly what the unsharded DataStore
-                // replay of its sub-sequence holds.
-                prop_assert_eq!(
-                    engine_bytes[s].len(), expected_extents.len(),
-                    "{}: shard {} byte population diverges", variant, s
-                );
-                for (id, bytes) in &engine_bytes[s] {
-                    prop_assert_eq!(
-                        Some(&bytes[..]), reference_bytes.bytes_of(*id),
-                        "{}: {} bytes diverge on shard {}", variant, id, s
-                    );
-                }
-                total_objects += expected_extents.len();
-
-                let row = &stats.per_shard[s];
-                prop_assert_eq!(row.requests as usize, part.len(), "{} shard {}", variant, s);
-                prop_assert_eq!(row.live_count, standalone.live_count(), "{} shard {}", variant, s);
-                prop_assert_eq!(row.live_volume, standalone.live_volume(), "{} shard {}", variant, s);
-                prop_assert_eq!(row.footprint, standalone.footprint(), "{} shard {}", variant, s);
-                prop_assert_eq!(
-                    row.structure_size, standalone.structure_size(),
-                    "{} shard {}", variant, s
-                );
-                prop_assert_eq!(
-                    row.max_object_size, standalone.max_object_size(),
-                    "{} shard {}", variant, s
-                );
+            // The same stream, request by request, through an async
+            // tenant whose batches idle workers may steal.
+            let fleet = Fleet::new(FleetConfig::with_workers(2).stealing(true));
+            let mut tenant = fleet.register(
+                config,
+                Box::new(HashRouter::new(shards)),
+                |_| build(variant, eps),
+            );
+            for req in &workload.requests {
+                drop(match *req {
+                    Request::Insert { id, size } => tenant.insert(id, size),
+                    Request::Delete { id } => tenant.delete(id),
+                });
             }
+            let observed_async = (
+                tenant.quiesce().wait().expect("async quiesce"),
+                tenant.extents().expect("async extents"),
+                tenant.substrate_contents().expect("async contents"),
+            );
+            tenant.shutdown().expect("async shutdown");
 
+            let replays: Vec<_> =
+                parts.iter().map(|part| standalone_replay(variant, eps, part)).collect();
             // No lost or duplicated objects: the union of per-shard
             // populations is exactly the reference live set.
             let mut reference = std::collections::BTreeMap::new();
@@ -170,15 +157,55 @@ proptest! {
                     Request::Delete { id } => { reference.remove(&id); }
                 }
             }
-            prop_assert_eq!(total_objects, reference.len(), "{}: object count", variant);
-            let mut seen = std::collections::BTreeSet::new();
-            for (s, list) in engine_extents.iter().enumerate() {
-                for &(id, extent) in list {
-                    prop_assert!(seen.insert(id), "{}: {} on two shards", variant, id);
+
+            for (facade, (stats, engine_extents, engine_bytes)) in
+                [("sync", sync), ("async", observed_async)]
+            {
+                let mut total_objects = 0usize;
+                for (s, part) in parts.iter().enumerate() {
+                    let (expected_extents, standalone, reference_bytes) = &replays[s];
                     prop_assert_eq!(
-                        Some(extent.len), reference.get(&id).copied(),
-                        "{}: {} wrong size on shard {}", variant, id, s
+                        &engine_extents[s], expected_extents,
+                        "{} {}: shard {} placements diverge", facade, variant, s
                     );
+                    // Same *bytes*, not just the same extents: the shard's
+                    // substrate holds exactly what the unsharded DataStore
+                    // replay of its sub-sequence holds.
+                    prop_assert_eq!(
+                        engine_bytes[s].len(), expected_extents.len(),
+                        "{} {}: shard {} byte population diverges", facade, variant, s
+                    );
+                    for (id, bytes) in &engine_bytes[s] {
+                        prop_assert_eq!(
+                            Some(&bytes[..]), reference_bytes.bytes_of(*id),
+                            "{} {}: {} bytes diverge on shard {}", facade, variant, id, s
+                        );
+                    }
+                    total_objects += expected_extents.len();
+
+                    let row = &stats.per_shard[s];
+                    let at = format!("{facade} {variant} shard {s}");
+                    prop_assert_eq!(row.requests as usize, part.len(), "{}", at);
+                    prop_assert_eq!(row.live_count, standalone.live_count(), "{}", at);
+                    prop_assert_eq!(row.live_volume, standalone.live_volume(), "{}", at);
+                    prop_assert_eq!(row.footprint, standalone.footprint(), "{}", at);
+                    prop_assert_eq!(row.structure_size, standalone.structure_size(), "{}", at);
+                    prop_assert_eq!(row.max_object_size, standalone.max_object_size(), "{}", at);
+                }
+
+                prop_assert_eq!(
+                    total_objects, reference.len(),
+                    "{} {}: object count", facade, variant
+                );
+                let mut seen = std::collections::BTreeSet::new();
+                for (s, list) in engine_extents.iter().enumerate() {
+                    for &(id, extent) in list {
+                        prop_assert!(seen.insert(id), "{} {}: {} on two shards", facade, variant, id);
+                        prop_assert_eq!(
+                            Some(extent.len), reference.get(&id).copied(),
+                            "{} {}: {} wrong size on shard {}", facade, variant, id, s
+                        );
+                    }
                 }
             }
         }
