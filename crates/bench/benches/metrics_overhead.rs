@@ -12,7 +12,7 @@
 //! Three configurations over the standard churn workload: telemetry off,
 //! telemetry on (wall-clock histograms only), and telemetry on with the
 //! `disk` device profile (adds op-stream pricing — a float multiply-add
-//! per ledgered op). The head-to-head interleaves off/on rounds so slow
+//! per priced op). The head-to-head interleaves off/on rounds so slow
 //! machine-load drift cancels out of the reported ratio, and prints a
 //! PASS/FAIL verdict at the 3% budget.
 

@@ -3,9 +3,17 @@
 //! Cost obliviousness is what makes this design possible: the paper's
 //! algorithms make identical decisions for every cost function, so a single
 //! run can be recorded once and then priced under arbitrarily many cost
-//! functions. The ledger stores, per request, the allocation size (if any),
-//! the sizes of all objects moved, and the space telemetry needed by the
-//! space lemmas.
+//! functions. Two records serve that:
+//!
+//! * [`Ledger`] stores, per request, the allocation size (if any), the
+//!   sizes of all objects moved, and the space telemetry needed by the
+//!   space lemmas — the per-op trace the theorem-bound checks read.
+//! * [`CostSummary`] keeps only what pricing needs: how many times each
+//!   size was allocated and moved, and the checkpoint total. Since
+//!   `Σ_moves f(w) = Σ_w count(w)·f(w)`, it prices a run exactly under any
+//!   `f` in `O(#distinct sizes)` memory — the serving engine's record.
+
+use std::collections::HashMap;
 
 use crate::Outcome;
 
@@ -248,6 +256,105 @@ impl Ledger {
     }
 }
 
+/// Bounded post-hoc cost accounting: a size→count table of allocations,
+/// one of reallocations, and the checkpoint total.
+///
+/// Prices a run exactly like the [`Ledger`] it summarizes, under any cost
+/// function, while holding one entry per *distinct* size instead of one
+/// record per request — so a long-running service can keep it forever.
+/// Per-request facts (space telemetry, per-op maxima) are not kept; the
+/// ledger remains the trace for those.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct CostSummary {
+    allocated: HashMap<u64, u64>,
+    moved: HashMap<u64, u64>,
+    checkpoints: u64,
+}
+
+impl CostSummary {
+    /// An empty summary.
+    pub fn new() -> Self {
+        CostSummary::default()
+    }
+
+    /// Records one completed request's outcome: `allocated` is
+    /// `Some(size)` for inserts; every move and checkpoint barrier in
+    /// `outcome` is counted.
+    pub fn record(&mut self, allocated: Option<u64>, outcome: &Outcome) {
+        if let Some(size) = allocated {
+            *self.allocated.entry(size).or_default() += 1;
+        }
+        for size in outcome.moved_sizes() {
+            self.record_move(size);
+        }
+        self.checkpoints += u64::from(outcome.checkpoints);
+    }
+
+    /// Records one reallocation of a `size`-cell object that no
+    /// [`Outcome`] carries — a cross-shard transfer's arrival, or a move of
+    /// a defragmentation schedule.
+    pub fn record_move(&mut self, size: u64) {
+        *self.moved.entry(size).or_default() += 1;
+    }
+
+    /// `Σ f(w)` over every allocation — the denominator of the competitive
+    /// cost ratio (see [`Ledger::total_alloc_cost`]).
+    pub fn total_alloc_cost(&self, f: &dyn Fn(u64) -> f64) -> f64 {
+        price(&self.allocated, f)
+    }
+
+    /// `Σ f(w)` over every reallocation.
+    pub fn total_realloc_cost(&self, f: &dyn Fn(u64) -> f64) -> f64 {
+        price(&self.moved, f)
+    }
+
+    /// Reallocation cost divided by allocation cost; 0 when nothing was
+    /// allocated.
+    pub fn cost_ratio(&self, f: &dyn Fn(u64) -> f64) -> f64 {
+        let alloc = self.total_alloc_cost(f);
+        if alloc == 0.0 {
+            0.0
+        } else {
+            self.total_realloc_cost(f) / alloc
+        }
+    }
+
+    /// Total checkpoint barriers.
+    pub fn total_checkpoints(&self) -> u64 {
+        self.checkpoints
+    }
+
+    /// Total number of reallocations.
+    pub fn total_moves(&self) -> u64 {
+        self.moved.values().sum()
+    }
+
+    /// Total volume moved.
+    pub fn total_moved_volume(&self) -> u64 {
+        self.moved.iter().map(|(&w, &n)| w * n).sum()
+    }
+
+    /// Entries in the allocation table: the number of distinct sizes
+    /// allocated.
+    pub fn distinct_allocated_sizes(&self) -> usize {
+        self.allocated.len()
+    }
+
+    /// Entries in the reallocation table: the number of distinct sizes
+    /// moved.
+    pub fn distinct_moved_sizes(&self) -> usize {
+        self.moved.len()
+    }
+}
+
+/// `Σ count(w)·f(w)`, summed in ascending size order so the float result
+/// does not depend on the map's iteration order.
+fn price(counts: &HashMap<u64, u64>, f: &dyn Fn(u64) -> f64) -> f64 {
+    let mut sizes: Vec<(u64, u64)> = counts.iter().map(|(&w, &n)| (w, n)).collect();
+    sizes.sort_unstable();
+    sizes.into_iter().map(|(w, n)| n as f64 * f(w)).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,6 +481,22 @@ mod tests {
         assert_eq!(ledger.count_kind(OpKind::MigrateIn), 1);
         assert_eq!(ledger.count_kind(OpKind::MigrateOut), 0);
         assert_eq!(ledger.count_kind(OpKind::Insert), 2);
+    }
+
+    #[test]
+    fn summary_keeps_one_entry_per_distinct_size() {
+        let mut summary = CostSummary::new();
+        for _ in 0..1000 {
+            summary.record(Some(6), &outcome_with_moves(&[6, 6], 1, 12));
+            summary.record_move(6);
+        }
+        assert_eq!(summary.distinct_allocated_sizes(), 1);
+        assert_eq!(summary.distinct_moved_sizes(), 1);
+        assert_eq!(summary.total_moves(), 3000);
+        assert_eq!(summary.total_moved_volume(), 18_000);
+        assert_eq!(summary.total_checkpoints(), 1000);
+        assert_eq!(summary.cost_ratio(&|w| w as f64), 3.0);
+        assert_eq!(CostSummary::new().cost_ratio(&|w| w as f64), 0.0);
     }
 
     #[test]

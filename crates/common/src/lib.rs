@@ -11,10 +11,11 @@
 //!   allocations, reallocations (moves), frees, and checkpoint barriers.
 //! * [`Reallocator`] — the trait implemented by the paper's algorithms and by
 //!   every baseline, so harnesses can drive them interchangeably.
-//! * [`Ledger`] — post-hoc cost accounting. Because the paper's algorithms
-//!   are *cost oblivious*, a single run's move log can be priced under any
-//!   number of cost functions after the fact; the ledger records exactly the
-//!   data needed for that.
+//! * [`Ledger`] and [`CostSummary`] — post-hoc cost accounting. Because
+//!   the paper's algorithms are *cost oblivious*, a single run's move log
+//!   can be priced under any number of cost functions after the fact. The
+//!   ledger keeps a per-request trace; the summary keeps only size→count
+//!   tables, which price the run exactly in bounded memory.
 //! * [`Router`] — the pluggable id → shard routing layer a sharded serving
 //!   stack speaks (stateless hash or explicit table over a rendezvous
 //!   fallback). Lives here, not in the engine crate, so workload tooling
@@ -32,14 +33,14 @@ pub mod realloc;
 pub mod router;
 
 pub use extent::Extent;
-pub use ledger::{Ledger, OpKind, OpRecord};
+pub use ledger::{CostSummary, Ledger, OpKind, OpRecord};
 pub use oneshot::block_on;
 pub use ops::{Outcome, StorageOp};
 pub use realloc::{BoxedReallocator, ReallocError, Reallocator};
 pub use router::{rendezvous_shard, shard_of, HashRouter, Router, TableRouter};
 
-// The serving layer (`realloc-engine`) moves outcomes, ledgers, and boxed
-// reallocators across threads; keep the vocabulary types `Send` by
+// The serving layer (`realloc-engine`) moves outcomes, cost summaries, and
+// boxed reallocators across threads; keep the vocabulary types `Send` by
 // construction (a non-`Send` field added to any of these fails to compile
 // here, not deep inside the engine).
 const _: () = {
@@ -49,6 +50,7 @@ const _: () = {
     assert_send::<StorageOp>();
     assert_send::<Outcome>();
     assert_send::<Ledger>();
+    assert_send::<CostSummary>();
     assert_send::<OpRecord>();
     assert_send::<ReallocError>();
     assert_send::<HashRouter>();

@@ -23,7 +23,7 @@
 //! per-core command streams on either facade, and the per-core apply
 //! sequence (see [`fleet`](crate::fleet)) serves them in that order
 //! whichever worker runs them. Extents, substrate bytes, stats (including
-//! batch counts), ledgers, and the deterministic metrics projection match
+//! batch counts), cost summaries, and the deterministic metrics projection match
 //! exactly; `tests/async_facade.rs` pins this for all four registry
 //! variants. What does *not* match is scheduling: wall-clock histograms,
 //! intake stalls, and the [`StealStats`](crate::metrics::StealStats)
@@ -662,7 +662,7 @@ impl AsyncEngine {
 
     /// Final barrier: serves everything still queued, retires every core
     /// (a WAL'd core checkpoints first), and returns each core's stats
-    /// and full ledger, surfacing the first sticky error instead if any
+    /// and cost summary, surfacing the first sticky error instead if any
     /// core saw one.
     pub fn shutdown(mut self) -> Result<Vec<ShardFinal>, EngineError> {
         let finals = self.finish()?;

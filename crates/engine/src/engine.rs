@@ -36,13 +36,6 @@ pub struct EngineConfig {
     /// running at once. Shipping to a full shard blocks the enqueueing
     /// caller — backpressure, not unbounded buffering.
     pub queue_depth: usize,
-    /// Keep a full per-request [`Ledger`](realloc_common::Ledger) on every
-    /// shard (the post-hoc cost-pricing record). On by default; a
-    /// throughput-critical deployment can turn it off — the ledger grows
-    /// without bound and its append is the worker's largest per-request
-    /// fixed cost. Aggregate stats (including the settled-space ratio) are
-    /// maintained incrementally either way.
-    pub record_ledger: bool,
     /// Give every shard a byte-carrying storage substrate over its own
     /// disjoint address window (see [`crate::substrate`]): each worker
     /// replays its physical ops into a
@@ -65,8 +58,8 @@ pub struct EngineConfig {
     /// ([`crate::plan`]) before it touches the reallocator: delete +
     /// reinsert chains collapse to a single resize (or nothing, at an
     /// unchanged size) and insert + delete chains are cancelled outright.
-    /// Off by default — coalescing elides work, so per-request ledgers
-    /// record the *planned* stream, not the raw one.
+    /// Off by default — coalescing elides work, so the shards' cost
+    /// summaries price the *planned* stream, not the raw one.
     pub coalesce: bool,
 }
 
@@ -76,7 +69,6 @@ impl Default for EngineConfig {
             shards: 4,
             batch: 256,
             queue_depth: 4,
-            record_ledger: true,
             substrate: None,
             telemetry: true,
             device: None,
@@ -96,12 +88,6 @@ impl EngineConfig {
             shards,
             ..EngineConfig::default()
         }
-    }
-
-    /// This configuration with per-request ledgers disabled (stats only).
-    pub fn ledgerless(mut self) -> Self {
-        self.record_ledger = false;
-        self
     }
 
     /// This configuration with per-shard substrates enabled.
@@ -284,7 +270,7 @@ struct OnlineSession {
 /// [`resize_shards`](Engine::resize_shards) (or let a
 /// [`RebalancePolicy`] trigger that automatically — see
 /// [`set_auto_rebalance`](Engine::set_auto_rebalance)), and finish with
-/// [`shutdown`](Engine::shutdown) to collect per-shard ledgers. Dropping an
+/// [`shutdown`](Engine::shutdown) to collect per-shard cost summaries. Dropping an
 /// engine without `shutdown` serves what was already shipped, joins its
 /// workers, and discards results.
 ///
@@ -320,7 +306,7 @@ struct OnlineSession {
 /// assert_eq!(report.migrated_objects, plan.objects);
 /// assert!(report.after.imbalance_ratio() <= report.before.imbalance_ratio());
 ///
-/// // Shutdown: collect per-shard stats and ledgers.
+/// // Shutdown: collect per-shard stats and cost summaries.
 /// let finals = engine.shutdown().unwrap();
 /// assert_eq!(finals.len(), 4);
 /// assert_eq!(finals.iter().map(|f| f.stats.live_count).sum::<usize>(), 256);
@@ -333,8 +319,8 @@ pub struct Engine {
     /// The private pool serving `tenant`: stealing off, one worker per
     /// shard, core `i` homed on worker `i`.
     fleet: Fleet,
-    /// Finals of shards retired by a shrinking resize, so their ledgers and
-    /// stats survive until [`shutdown`](Engine::shutdown).
+    /// Finals of shards retired by a shrinking resize, so their cost
+    /// summaries and stats survive until [`shutdown`](Engine::shutdown).
     retired: Vec<ShardFinal>,
     /// The in-progress online rebalance, if any.
     session: Option<OnlineSession>,
@@ -720,7 +706,7 @@ impl Engine {
     /// the Theorem 2.7 defragmenter over its post-migration layout. The
     /// defrag pass *plans and prices*: it computes the cost-oblivious
     /// compaction schedule (the moves a substrate replay would apply),
-    /// records those moves in the shard ledger, and reports the
+    /// records those moves in the shard's cost summary, and reports the
     /// `(1+ε)V + ∆` space bound in [`RebalanceReport::defrag`] — the
     /// serving structure itself stays as Theorem 2.1 maintains it, so
     /// [`EngineStats::footprint`] does not shrink from the pass.
@@ -1030,8 +1016,8 @@ impl Engine {
     /// whose route changes under the new shard count (for a
     /// [`TableRouter`](realloc_common::TableRouter) the rendezvous fallback
     /// keeps that near `1/n` of the population on grows), re-targets the
-    /// router, and retires drained shards on shrinks — their stats and
-    /// ledgers are returned by the eventual [`shutdown`](Engine::shutdown).
+    /// router, and retires drained shards on shrinks — their stats and cost
+    /// summaries are returned by the eventual [`shutdown`](Engine::shutdown).
     /// Every shard keeps its own worker thread throughout.
     ///
     /// Works with any router (shrinking a hash-routed engine simply migrates
@@ -1097,7 +1083,7 @@ impl Engine {
             // the re-targeted fallback may now point elsewhere). A router
             // without an assignment table cannot be reconciled — the
             // affected ids route wrongly until shutdown; their extents and
-            // ledgers remain readable.
+            // cost summaries remain readable.
             let router = &mut self.tenant.router;
             router.set_shards(shards.max(from));
             if router.supports_assignment() {
@@ -1233,8 +1219,9 @@ impl Engine {
     }
 
     /// Final barrier: serves everything still queued, stops all workers,
-    /// joins their threads, and returns each shard's stats *and full
-    /// ledger* — the per-shard move logs that post-hoc cost pricing needs.
+    /// joins their threads, and returns each shard's stats *and cost
+    /// summary* — the per-shard move tables that post-hoc cost pricing
+    /// needs.
     /// Shards retired by a shrinking [`resize_shards`](Engine::resize_shards)
     /// follow the live shards, so no history is lost. Surfaces the first
     /// request-level error instead, if any shard saw one. An active
@@ -1426,34 +1413,16 @@ mod tests {
         }
         let finals = e.shutdown().unwrap();
         assert_eq!(finals.len(), 2);
-        let total: usize = finals.iter().map(|f| f.ledger.len()).sum();
-        assert_eq!(total, 20, "every request ledgered on exactly one shard");
+        let unit = |_: u64| 1.0;
+        let total: f64 = finals.iter().map(|f| f.costs.total_alloc_cost(&unit)).sum();
+        assert_eq!(total, 20.0, "every insert priced on exactly one shard");
         for f in &finals {
-            assert_eq!(f.ledger.len() as u64, f.stats.requests);
-        }
-    }
-
-    #[test]
-    fn ledgerless_engine_keeps_stats_but_not_history() {
-        let drive = |config: EngineConfig| {
-            let mut e = Engine::new(config, |_| Box::new(Bump::default()) as _);
-            for i in 0..60u64 {
-                e.insert(ObjectId(i), 1 + i % 5).unwrap();
-            }
-            for i in 0..30u64 {
-                e.delete(ObjectId(i)).unwrap();
-            }
-            e.shutdown().unwrap()
-        };
-        let with = drive(EngineConfig::with_shards(2));
-        let without = drive(EngineConfig::with_shards(2).ledgerless());
-        for (a, b) in with.iter().zip(&without) {
+            assert_eq!(f.costs.total_alloc_cost(&unit), f.stats.requests as f64);
             assert_eq!(
-                a.stats, b.stats,
-                "stats must not depend on ledger recording"
+                f.costs.total_alloc_cost(&|w| w as f64),
+                f.stats.live_volume as f64
             );
-            assert_eq!(a.ledger.len() as u64, a.stats.requests);
-            assert!(b.ledger.is_empty(), "ledgerless shard kept history");
+            assert_eq!(f.costs.distinct_allocated_sizes(), 1, "one size, one entry");
         }
     }
 
@@ -1608,7 +1577,7 @@ mod tests {
         }
         assert_eq!(seen, before.live_count());
 
-        // Retired shards' ledgers survive to shutdown.
+        // Retired shards' stats and cost summaries survive to shutdown.
         let finals = e.shutdown().unwrap();
         assert_eq!(finals.len(), 3 + 2, "3 live + 2 retired shards");
         let requests: u64 = finals.iter().map(|f| f.stats.requests).sum();
@@ -1645,34 +1614,24 @@ mod tests {
 
     #[test]
     fn migrations_are_ledgered_as_migrations() {
-        use realloc_common::OpKind;
         let mut e = table_engine(2);
         skew_toward_shard_zero(&mut e, 60);
         e.rebalance(RebalanceOptions::default()).unwrap();
         let finals = e.shutdown().unwrap();
-        let (mut ins, mut outs) = (0u64, 0u64);
+        let (mut ins, mut outs, mut allocs) = (0u64, 0u64, 0.0);
         for f in &finals {
-            for r in f.ledger.records() {
-                match r.kind {
-                    OpKind::MigrateIn => {
-                        ins += 1;
-                        assert_eq!(r.allocated, None, "a transfer is not an allocation");
-                        assert_eq!(r.moved_sizes.first(), Some(&r.request_size));
-                    }
-                    OpKind::MigrateOut => outs += 1,
-                    _ => {}
-                }
-            }
-            assert_eq!(f.stats.migrations_in, {
-                f.ledger
-                    .records()
-                    .iter()
-                    .filter(|r| r.kind == OpKind::MigrateIn)
-                    .count() as u64
-            });
+            ins += f.stats.migrations_in;
+            outs += f.stats.migrations_out;
+            allocs += f.costs.total_alloc_cost(&|_| 1.0);
+            // `Bump` never moves anything itself: every priced move on a
+            // shard is one of its arrivals.
+            assert_eq!(f.costs.total_moves(), f.stats.migrations_in);
+            assert_eq!(f.costs.total_moved_volume(), f.stats.migrated_volume_in);
+            assert_eq!(f.costs.total_moves(), f.stats.total_moves);
         }
         assert!(ins > 0, "rebalance must have migrated something");
         assert_eq!(ins, outs, "every transfer has both halves");
+        assert_eq!(allocs, 60.0, "a transfer is not an allocation");
     }
 
     /// A two-shard table-routed engine whose shard 1 rejects inserts
@@ -2098,7 +2057,7 @@ mod tests {
         let report = e.rebalance(RebalanceOptions::default()).unwrap();
         assert!(report.migrated_objects > 0);
         let stats = e.quiesce().unwrap();
-        // Physical bytes copied across address spaces == ledgered migrate
+        // Physical bytes copied across address spaces == counted migrate
         // volume, on both ends of the transfer.
         assert_eq!(stats.bytes_migrated_out(), report.migrated_volume);
         assert_eq!(stats.bytes_migrated_in(), report.migrated_volume);

@@ -5,10 +5,12 @@
 //! This crate turns any of them into a *service*: an [`Engine`] routes
 //! requests through a pluggable [`Router`] across `N` *shards*, each a
 //! state machine owning one boxed
-//! [`Reallocator`](realloc_common::Reallocator) and its own
-//! [`Ledger`](realloc_common::Ledger), served by its own worker thread and
-//! fed in *batches* through an admission-bounded queue (amortizing the
-//! hand-off the way buffer flushes amortize moves).
+//! [`Reallocator`](realloc_common::Reallocator) and its own bounded
+//! [`CostSummary`](realloc_common::CostSummary) (size→count tables that
+//! price the shard's whole history under any cost function), served by
+//! its own worker thread and fed in *batches* through an
+//! admission-bounded queue (amortizing the hand-off the way buffer
+//! flushes amortize moves).
 //!
 //! ## The routing layer
 //!
@@ -46,9 +48,10 @@
 //! [`RebalancePolicy`] with [`Engine::set_auto_rebalance`] and let the
 //! engine trigger online sessions itself when the ratio has exceeded `τ`
 //! for `k` consecutive barrier observations (with hysteresis after each
-//! run). Migrations are ledgered as first-class ops
-//! (`MigrateIn` / `MigrateOut`) and priced as reallocations, so
-//! rebalancing is as cost-accountable as serving.
+//! run). Migrations are counted on both halves
+//! ([`ShardStats::migrations_in`] / [`ShardStats::migrations_out`]) and
+//! each arrival is priced as a reallocation, so rebalancing is as
+//! cost-accountable as serving.
 //!
 //! ## Why sharding preserves the paper's guarantees
 //!

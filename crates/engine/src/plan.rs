@@ -21,7 +21,7 @@
 //! in `requests`, and requests the reallocator would have rejected are
 //! rejected identically — the planner simulates liveness and predicts
 //! `ZeroSize` / `DuplicateId` / `UnknownId` at the exact raw stream
-//! indices), ledger faithfulness (the planned ops are ledgered like any
+//! indices), cost faithfulness (the planned ops are priced like any
 //! served request), and WAL group commits (the planned ops journal into
 //! the batch's frame; recovery replays them to the same state).
 //!

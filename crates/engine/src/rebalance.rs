@@ -25,7 +25,7 @@ pub struct RebalanceOptions {
     /// Run the per-shard Theorem 2.7 defragmenter after migrating, with
     /// this footprint slack `ε` (`0 < ε ≤ 1/2`): each shard computes the
     /// cost-oblivious compaction schedule over its post-migration layout
-    /// (objects sorted by id), records the schedule's moves in its ledger,
+    /// (objects sorted by id), records the schedule's moves in its cost summary,
     /// and reports the space bound. `None` skips the pass.
     pub defrag_eps: Option<f64>,
     /// Online mode only: the most objects one

@@ -1,4 +1,4 @@
-//! The shard worker: one state machine, one reallocator, one ledger.
+//! The shard worker: one state machine, one reallocator, one cost summary.
 //!
 //! A fleet worker thread applies a core's commands one at a time, in the
 //! order the intake shipped them. `Command::Batch` carries a run of
@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc::Sender;
 
 use realloc_common::{
-    Extent, Ledger, ObjectId, OpKind, OpRecord, Outcome, ReallocError, Reallocator, StorageOp,
+    CostSummary, Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp,
 };
 use storage_sim::wal::{checkpoint_path, read_checkpoint, wal_path, write_checkpoint};
 use storage_sim::{checksum, pattern_for, Checkpoint, CheckpointEntry, WalRecord, WalWriter};
@@ -104,11 +104,11 @@ pub(crate) struct ShardReply {
 pub struct ShardFinal {
     /// Final stats snapshot.
     pub stats: ShardStats,
-    /// The shard's full per-request cost ledger, priceable post hoc under
-    /// any cost function (the whole point of cost obliviousness). Empty
-    /// when the engine was configured
-    /// [`ledgerless`](crate::EngineConfig::ledgerless).
-    pub ledger: Ledger,
+    /// Every allocation and reallocation this shard performed — serving,
+    /// quiesce drains, both halves of cross-shard transfers, and defrag
+    /// passes — as size→count tables, priceable post hoc under any cost
+    /// function (the whole point of cost obliviousness).
+    pub costs: CostSummary,
     /// First rejected request, if any.
     pub first_error: Option<ShardError>,
     /// First substrate rule/verification failure, if any (always `None`
@@ -142,17 +142,18 @@ pub(crate) enum Command {
     /// Reply with the placements of all live objects, sorted by id.
     Extents(Sender<Vec<(ObjectId, Extent)>>),
     /// Rebalance protocol, outbound half: delete `ids` (they are being
-    /// re-homed, not destroyed — ledgered as `MigrateOut`), drain deferred
-    /// work so they are fully gone, then reply with the `(id, size)` of
-    /// every object actually released. Per-object acks let the engine skip
-    /// the inbound half for anything a broken reallocator refused to give
-    /// up, and the acked *size* (not the planner's snapshot) is what the
-    /// target shard inserts — so a delete + re-insert that changed an
-    /// object's size between planning and execution (possible in online
-    /// mode, where serving continues) cannot corrupt the transfer. Ids this
-    /// shard no longer considers live are skipped silently: under a quiesce
-    /// barrier that cannot happen, but an online rebalance races ordinary
-    /// deletes, and a legitimately deleted object is not an error.
+    /// re-homed, not destroyed — counted as migrations, not deletes), drain
+    /// deferred work so they are fully gone, then reply with the
+    /// `(id, size)` of every object actually released. Per-object acks let
+    /// the engine skip the inbound half for anything a broken reallocator
+    /// refused to give up, and the acked *size* (not the planner's
+    /// snapshot) is what the target shard inserts — so a delete + re-insert
+    /// that changed an object's size between planning and execution
+    /// (possible in online mode, where serving continues) cannot corrupt
+    /// the transfer. Ids this shard no longer considers live are skipped
+    /// silently: under a quiesce barrier that cannot happen, but an online
+    /// rebalance races ordinary deletes, and a legitimately deleted object
+    /// is not an error.
     MigrateOut {
         /// Objects leaving this shard, each with the globally unique
         /// transfer sequence number the engine assigned (journaled on both
@@ -163,8 +164,8 @@ pub(crate) enum Command {
         /// checksum when this shard is substrate-backed).
         reply: Sender<(ShardReply, Vec<Transfer>)>,
     },
-    /// Rebalance protocol, inbound half: insert `objects` (ledgered as
-    /// `MigrateIn`; the transfer itself is priced as a reallocation), then
+    /// Rebalance protocol, inbound half: insert `objects` (counted as
+    /// migrations; the transfer itself is priced as a reallocation), then
     /// reply with the ids actually adopted. A substrate-backed shard
     /// verifies each transfer's bytes against its shipped checksum *before*
     /// inserting; a damaged payload is refused
@@ -177,7 +178,7 @@ pub(crate) enum Command {
         reply: Sender<(ShardReply, Vec<ObjectId>)>,
     },
     /// Compute the Theorem 2.7 defrag schedule over this shard's live
-    /// objects (sorted by id) at slack `eps`, ledger its moves, reply with
+    /// objects (sorted by id) at slack `eps`, record its moves, reply with
     /// the space/movement summary.
     Defrag {
         /// Footprint slack `ε` for the defragmenter (`0 < ε ≤ 1/2`).
@@ -199,8 +200,8 @@ pub(crate) enum Command {
     /// verification scan must fail — and stay failed, since integrity
     /// violations are sticky.
     CorruptSubstrate(Sender<Option<ObjectId>>),
-    /// Final barrier: reply with stats + ledger and retire the core. Like
-    /// `Quiesce`, a WAL'd shard checkpoints (with the same router `pins`)
+    /// Final barrier: reply with stats + cost summary and retire the core.
+    /// Like `Quiesce`, a WAL'd shard checkpoints (with the same router `pins`)
     /// before replying, so a cleanly shut down fleet recovers from its
     /// checkpoints alone.
     Finish {
@@ -232,11 +233,12 @@ pub(crate) struct ShardWorker {
     /// engine runs with telemetry off — every hook below degrades to a
     /// single `Option` check.
     telemetry: Option<ShardTelemetry>,
-    record_ledger: bool,
     /// Fold every batch through the coalescing planner
     /// ([`crate::plan::BatchPlan`]) before touching the reallocator.
     coalesce: bool,
-    ledger: Ledger,
+    /// Every outcome this worker absorbs, priced post hoc; the move fields
+    /// of [`ShardStats`] are read from it.
+    costs: CostSummary,
     /// Ids this shard believes live, by request history. The `Reallocator`
     /// trait cannot enumerate objects, so the worker tracks the population
     /// itself to answer [`Command::Extents`].
@@ -250,16 +252,16 @@ pub(crate) struct ShardWorker {
     requests_cancelled: u64,
     errors: u64,
     first_error: Option<ShardError>,
-    moves: u64,
-    moved_volume: u64,
     migrations_in: u64,
     migrations_out: u64,
     migrated_volume_in: u64,
     migrated_volume_out: u64,
     defrag_runs: u64,
+    /// Defrag schedule moves and their volume: recorded in `costs`, but
+    /// reported apart from the serving moves in [`ShardStats`].
     defrag_moves: u64,
-    /// Max over requests of `structure_after / volume_after`, maintained
-    /// incrementally so it survives running ledgerless.
+    defrag_moved_volume: u64,
+    /// Max over requests of `structure_after / volume_after`.
     max_settled_ratio: f64,
 }
 
@@ -287,9 +289,8 @@ impl ShardWorker {
             recoveries,
             first_substrate_error: None,
             telemetry: config.telemetry.then(|| ShardTelemetry::new(config.device)),
-            record_ledger: config.record_ledger,
             coalesce: config.coalesce,
-            ledger: Ledger::new(),
+            costs: CostSummary::new(),
             live: HashSet::new(),
             requests: 0,
             batches: 0,
@@ -297,14 +298,13 @@ impl ShardWorker {
             requests_cancelled: 0,
             errors: 0,
             first_error: None,
-            moves: 0,
-            moved_volume: 0,
             migrations_in: 0,
             migrations_out: 0,
             migrated_volume_in: 0,
             migrated_volume_out: 0,
             defrag_runs: 0,
             defrag_moves: 0,
+            defrag_moved_volume: 0,
             max_settled_ratio: 0.0,
         })
     }
@@ -352,7 +352,7 @@ impl ShardWorker {
             }
             Command::Quiesce { reply, pins } => {
                 let outcome = self.realloc.quiesce();
-                self.absorb(&outcome, SimLane::Serve);
+                self.absorb(None, &outcome, SimLane::Serve);
                 self.verify_substrate_at_barrier();
                 self.wal_checkpoint(&pins);
                 let _ = reply.send(self.reply());
@@ -383,7 +383,7 @@ impl ShardWorker {
                 // them) so the objects are fully gone before the engine
                 // re-inserts them on their target shards.
                 let outcome = self.realloc.quiesce();
-                self.absorb(&outcome, SimLane::Migrate);
+                self.absorb(None, &outcome, SimLane::Migrate);
                 // Ordered commit, source half: the `MigrateOut` records
                 // are durable *before* the ack reaches the engine, so
                 // no transfer can arrive anywhere whose departure a
@@ -437,7 +437,7 @@ impl ShardWorker {
                 self.wal_checkpoint(&pins);
                 let _ = reply.send(ShardFinal {
                     stats: self.snapshot(),
-                    ledger: std::mem::take(&mut self.ledger),
+                    costs: std::mem::take(&mut self.costs),
                     first_error: self.first_error,
                     first_substrate_error: self.first_substrate_error.clone(),
                 });
@@ -482,17 +482,18 @@ impl ShardWorker {
         })
     }
 
-    /// Counts an outcome's moves *and* replays its physical ops into the
-    /// substrate (when one is configured). Every serving-path outcome goes
-    /// through here; the one exception is a migrate-in, whose arrival
+    /// Records an outcome in the cost summary (`allocated` is the inserted
+    /// size, for client inserts only) *and* replays its physical ops into
+    /// the substrate (when one is configured). Every serving-path outcome
+    /// goes through here; the one exception is a migrate-in, whose arrival
     /// `Allocate` must write the transferred bytes rather than a fresh
     /// pattern (see [`ShardWorker::migrate_in`]).
     ///
     /// `lane` attributes the outcome's physical ops to the serving or
     /// migration side of the simulated-device clock (a no-op without a
     /// configured [`DeviceProfile`](crate::DeviceProfile)).
-    fn absorb(&mut self, outcome: &Outcome, lane: SimLane) {
-        self.note_moves(outcome);
+    fn absorb(&mut self, allocated: Option<u64>, outcome: &Outcome, lane: SimLane) {
+        self.costs.record(allocated, outcome);
         self.journal_ops(&outcome.ops);
         self.replay_ops(&outcome.ops);
         if let Some(t) = self.telemetry.as_mut() {
@@ -736,28 +737,14 @@ impl ShardWorker {
         self.serve_at(index, req);
     }
 
-    /// Serves one request at stream index `index`, mirroring the
-    /// single-threaded harness's ledger accounting exactly (same fields,
-    /// same query points) so a sharded run is priceable the same way as a
-    /// standalone one.
+    /// Serves one request at stream index `index`, pricing it the way the
+    /// single-threaded harness does (an insert allocates its size; every
+    /// move is a reallocation) so a sharded run is priceable the same way
+    /// as a standalone one.
     fn serve_at(&mut self, index: u64, req: Request) {
-        let (kind, request_size, allocated, result) = match req {
-            Request::Insert { id, size } => (
-                OpKind::Insert,
-                size,
-                Some(size),
-                self.realloc.insert(id, size),
-            ),
-            Request::Delete { id } => {
-                // The object's size is only needed for the ledger record;
-                // skip the lookup on the ledgerless fast path.
-                let size = if self.record_ledger {
-                    self.realloc.extent_of(id).map_or(0, |e| e.len)
-                } else {
-                    0
-                };
-                (OpKind::Delete, size, None, self.realloc.delete(id))
-            }
+        let (allocated, result) = match req {
+            Request::Insert { id, size } => (Some(size), self.realloc.insert(id, size)),
+            Request::Delete { id } => (None, self.realloc.delete(id)),
         };
         match result {
             Ok(outcome) => {
@@ -769,19 +756,8 @@ impl ShardWorker {
                         self.live.remove(&id);
                     }
                 }
-                self.absorb(&outcome, SimLane::Serve);
-                let structure = self.observe_space();
-                if self.record_ledger {
-                    self.ledger.record(
-                        kind,
-                        request_size,
-                        allocated,
-                        &outcome,
-                        structure,
-                        self.realloc.live_volume(),
-                        self.realloc.max_object_size(),
-                    );
-                }
+                self.absorb(allocated, &outcome, SimLane::Serve);
+                self.observe_space();
             }
             Err(error) => {
                 self.errors += 1;
@@ -790,12 +766,12 @@ impl ShardWorker {
         }
     }
 
-    /// The outbound half of one cross-shard transfer: a delete that is
-    /// ledgered as `MigrateOut` (the object lives on elsewhere) and counted
-    /// in the migration telemetry, not in `requests`. Returns the released
-    /// transfer — carrying the object's physical bytes and checksum when
-    /// this shard is substrate-backed — or `None` if the reallocator
-    /// refused to let go.
+    /// The outbound half of one cross-shard transfer: a delete that frees
+    /// nothing from the client's point of view (the object lives on
+    /// elsewhere), counted in the migration telemetry, not in `requests`.
+    /// Returns the released transfer — carrying the object's physical bytes
+    /// and checksum when this shard is substrate-backed — or `None` if the
+    /// reallocator refused to let go.
     fn migrate_out(&mut self, id: ObjectId, xfer: u64) -> Option<Transfer> {
         let size = self.realloc.extent_of(id).map_or(0, |e| e.len);
         // Read the departing bytes *before* the delete frees the extent.
@@ -803,7 +779,7 @@ impl ShardWorker {
         match self.realloc.delete(id) {
             Ok(outcome) => {
                 self.live.remove(&id);
-                self.absorb(&outcome, SimLane::Migrate);
+                self.absorb(None, &outcome, SimLane::Migrate);
                 // The departure is journaled under the transfer's sequence
                 // number so recovery can pair it with the target's
                 // `MigrateIn` — an unpaired departure means the object died
@@ -817,24 +793,11 @@ impl ShardWorker {
                 self.migrated_volume_out += size;
                 // Count the physical copy-out only now that the object has
                 // actually left — a refused delete must not inflate the
-                // ledger-vs-bytes accounting.
+                // counted-vs-bytes accounting.
                 if let (Some(substrate), Some(p)) = (self.substrate.as_mut(), payload.as_ref()) {
                     substrate.note_released(p);
                 }
-                let structure = self.observe_space();
-                if self.record_ledger {
-                    self.ledger.push(OpRecord {
-                        kind: OpKind::MigrateOut,
-                        request_size: size,
-                        allocated: None,
-                        moved_sizes: outcome.moved_sizes().collect(),
-                        checkpoints: outcome.checkpoints,
-                        structure_after: structure,
-                        peak_during: outcome.peak_structure_size.max(structure),
-                        volume_after: self.realloc.live_volume(),
-                        delta_after: self.realloc.max_object_size(),
-                    });
-                }
+                self.observe_space();
                 Some(Transfer {
                     id,
                     size,
@@ -849,10 +812,10 @@ impl ShardWorker {
         }
     }
 
-    /// The inbound half: an insert ledgered as `MigrateIn`. The transfer
+    /// The inbound half: an insert counted as a migration. The transfer
     /// itself is a *reallocation* of the object (it was allocated once, on
-    /// its original shard), so its size joins `moved_sizes` and the shard's
-    /// move telemetry — cost functions price it like any other move.
+    /// its original shard), so it is recorded as one move of its size —
+    /// cost functions price it like any other move.
     ///
     /// A substrate-backed shard first proves the shipped bytes match their
     /// checksum; a damaged payload is refused *before* touching the
@@ -879,30 +842,14 @@ impl ShardWorker {
                 self.live.insert(id);
                 self.journal_arrival(&outcome.ops, id, payload.as_ref(), xfer);
                 self.replay_arrival(&outcome.ops, id, payload.as_ref());
-                self.note_moves(&outcome);
+                self.costs.record_move(size);
+                self.costs.record(None, &outcome);
                 if let Some(t) = self.telemetry.as_mut() {
                     t.price_ops(&outcome.ops, SimLane::Migrate);
                 }
-                self.moves += 1;
-                self.moved_volume += size;
                 self.migrations_in += 1;
                 self.migrated_volume_in += size;
-                let structure = self.observe_space();
-                if self.record_ledger {
-                    let mut moved_sizes = vec![size];
-                    moved_sizes.extend(outcome.moved_sizes());
-                    self.ledger.push(OpRecord {
-                        kind: OpKind::MigrateIn,
-                        request_size: size,
-                        allocated: None,
-                        moved_sizes,
-                        checkpoints: outcome.checkpoints,
-                        structure_after: structure,
-                        peak_during: outcome.peak_structure_size.max(structure),
-                        volume_after: self.realloc.live_volume(),
-                        delta_after: self.realloc.max_object_size(),
-                    });
-                }
+                self.observe_space();
                 true
             }
             Err(error) => {
@@ -912,19 +859,27 @@ impl ShardWorker {
         }
     }
 
-    /// Computes (and ledgers) the Theorem 2.7 compaction schedule over this
-    /// shard's live objects, sorted by id. A substrate-backed shard also
-    /// *performs* the scheduled copies on real bytes — in a sandbox seeded
-    /// from its store, so the serving structure stays as Theorem 2.1
-    /// maintains it — and reports whether every object landed byte-intact
-    /// at its promised placement ([`DefragSummary::substrate_ok`]).
+    /// Computes the Theorem 2.7 compaction schedule over this shard's live
+    /// objects, sorted by id, and records its moves in the cost summary. A
+    /// substrate-backed shard also *performs* the scheduled copies on real
+    /// bytes — in a sandbox seeded from its store, so the serving structure
+    /// stays as Theorem 2.1 maintains it — and reports whether every object
+    /// landed byte-intact at its promised placement
+    /// ([`DefragSummary::substrate_ok`]).
     fn defrag(&mut self, eps: f64) -> DefragSummary {
         let extents = self.live_extents();
         let delta = self.realloc.max_object_size();
         match realloc_core::defragment(&extents, eps, |a, b| a.cmp(&b)) {
             Ok(report) => {
                 self.defrag_runs += 1;
-                self.defrag_moves += report.total_moves as u64;
+                for size in report.ops.iter().filter_map(|op| match op {
+                    StorageOp::Move { to, .. } => Some(to.len),
+                    _ => None,
+                }) {
+                    self.costs.record_move(size);
+                    self.defrag_moves += 1;
+                    self.defrag_moved_volume += size;
+                }
                 let substrate_ok = self
                     .substrate
                     .as_ref()
@@ -932,27 +887,6 @@ impl ShardWorker {
                 if let Some(Err(e)) = &substrate_ok {
                     self.first_substrate_error
                         .get_or_insert(format!("defrag schedule: {e}"));
-                }
-                let structure = self.realloc.structure_size();
-                if self.record_ledger {
-                    self.ledger.push(OpRecord {
-                        kind: OpKind::Defrag,
-                        request_size: 0,
-                        allocated: None,
-                        moved_sizes: report
-                            .ops
-                            .iter()
-                            .filter_map(|op| match op {
-                                realloc_common::StorageOp::Move { to, .. } => Some(to.len),
-                                _ => None,
-                            })
-                            .collect(),
-                        checkpoints: 0,
-                        structure_after: structure,
-                        peak_during: report.peak_space.max(structure),
-                        volume_after: self.realloc.live_volume(),
-                        delta_after: delta,
-                    });
                 }
                 DefragSummary {
                     shard: self.shard,
@@ -987,20 +921,13 @@ impl ShardWorker {
         });
     }
 
-    fn note_moves(&mut self, outcome: &Outcome) {
-        self.moves += outcome.move_count() as u64;
-        self.moved_volume += outcome.moved_volume();
-    }
-
-    /// Folds the current space telemetry into `max_settled_ratio` and
-    /// returns the structure size.
-    fn observe_space(&mut self) -> u64 {
+    /// Folds the current space telemetry into `max_settled_ratio`.
+    fn observe_space(&mut self) {
         let structure = self.realloc.structure_size();
         let volume = self.realloc.live_volume();
         if volume > 0 {
             self.max_settled_ratio = self.max_settled_ratio.max(structure as f64 / volume as f64);
         }
-        structure
     }
 
     fn snapshot(&self) -> ShardStats {
@@ -1017,8 +944,8 @@ impl ShardWorker {
             footprint: self.realloc.footprint(),
             structure_size: self.realloc.structure_size(),
             max_object_size: self.realloc.max_object_size(),
-            total_moves: self.moves,
-            total_moved_volume: self.moved_volume,
+            total_moves: self.costs.total_moves() - self.defrag_moves,
+            total_moved_volume: self.costs.total_moved_volume() - self.defrag_moved_volume,
             migrations_in: self.migrations_in,
             migrations_out: self.migrations_out,
             migrated_volume_in: self.migrated_volume_in,

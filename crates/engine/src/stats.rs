@@ -42,7 +42,9 @@ pub struct ShardStats {
     pub max_object_size: u64,
     /// Reallocations performed (including quiesce-time drains and the
     /// cross-shard transfers this shard received — a migration *is* a
-    /// reallocation of the object).
+    /// reallocation of the object), defrag schedules excluded: read from
+    /// the shard's [`CostSummary`](realloc_common::CostSummary), whose move
+    /// count is `total_moves + defrag_moves`.
     pub total_moves: u64,
     /// Volume moved by those reallocations, in cells.
     pub total_moved_volume: u64,
@@ -82,7 +84,7 @@ pub struct ShardStats {
     /// [`Engine::recover`](crate::Engine::recover) (0 for a worker that
     /// never crashed).
     pub recoveries: u64,
-    /// Max over requests of `structure_after / volume_after` (the ledger's
+    /// Max over requests of `structure_after / volume_after` (the
     /// settled-space competitive ratio for this shard).
     pub max_settled_ratio: f64,
     /// Simulated device time (µs) spent serving requests — the configured
@@ -261,15 +263,18 @@ impl EngineStats {
     }
 
     /// Total cells that crossed shard address spaces, counted on arrival
-    /// (each verified against its shipped checksum). Equals the ledger's
-    /// migrate-in volume when every transfer landed.
+    /// (each verified against its shipped checksum). Equals the counted
+    /// migrate-in volume ([`migrated_volume`](Self::migrated_volume)) when
+    /// every transfer landed.
     pub fn bytes_migrated_in(&self) -> u64 {
         self.per_shard.iter().map(|s| s.substrate_bytes_in).sum()
     }
 
     /// Total cells read out of shard substrates for cross-shard transfers.
-    /// Equals the ledger's migrate-out volume: every released object's
-    /// bytes were physically copied out of its source address space.
+    /// Equals the counted migrate-out volume
+    /// ([`migrated_volume_out`](Self::migrated_volume_out)): every released
+    /// object's bytes were physically copied out of its source address
+    /// space.
     pub fn bytes_migrated_out(&self) -> u64 {
         self.per_shard.iter().map(|s| s.substrate_bytes_out).sum()
     }

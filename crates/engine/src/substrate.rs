@@ -2,7 +2,7 @@
 //! sharded engine.
 //!
 //! Without a substrate the engine's workers do *accounting*: a request's
-//! [`Outcome`](realloc_common::Outcome) updates the ledger and is discarded,
+//! [`Outcome`](realloc_common::Outcome) updates the cost summary and is discarded,
 //! so the `storage-sim` data-integrity rules (checksummed object bytes,
 //! non-overlapping placements, no lost writes) are only ever checked on the
 //! unsharded `run_workload` path. A [`SubstrateConfig`] closes that gap:
@@ -255,7 +255,7 @@ impl ShardSubstrate {
     /// Counts a successfully released transfer's cells as physically
     /// copied out of this window. Keeping the counter here (rather than in
     /// [`release`](Self::release)) keeps `bytes_migrated_out` equal to the
-    /// ledgered migrate-out volume even when a reallocator refuses a
+    /// counted migrate-out volume even when a reallocator refuses a
     /// delete after the bytes were read.
     pub fn note_released(&mut self, payload: &TransferPayload) {
         self.bytes_migrated_out += payload.bytes.len() as u64;

@@ -19,8 +19,12 @@
 //!
 //! The CRC (FNV-1a, the same hash the substrate uses for object checksums)
 //! covers the payload. Replay stops at the first frame whose header is
-//! short, whose payload is truncated, or whose CRC disagrees — a torn tail
-//! from a crash mid-commit is *discarded*, never half-applied.
+//! short, whose payload is truncated, or whose CRC disagrees. Only the
+//! physical tail may be damaged that way: a torn tail from a crash
+//! mid-commit is *discarded*, never half-applied, but a damaged frame
+//! followed by an intact one is mid-log corruption — acked groups would be
+//! lost — and the read fails instead. A reopened writer trims a torn tail
+//! before appending, so its new frames never follow a damaged one.
 //!
 //! ## Checkpoint / truncate protocol
 //!
@@ -224,8 +228,16 @@ impl WalWriter {
     /// Opens (creating if absent) the log at `path`, stamping future frames
     /// with `epoch` — pass the epoch of the checkpoint recovery loaded, or
     /// 0 for a fresh shard.
+    ///
+    /// A torn tail left by a crash mid-commit is cut off first, so the
+    /// frames this writer appends never follow a damaged one (which
+    /// [`read_wal`] would reject as mid-log corruption).
     pub fn open(path: &Path, epoch: u32) -> std::io::Result<WalWriter> {
-        OpenOptions::new().create(true).append(true).open(path)?;
+        let intact = read_wal(path)?.last().map_or(0, |g| g.end_offset);
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        if file.metadata()?.len() > intact {
+            file.set_len(intact)?;
+        }
         Ok(WalWriter {
             path: path.to_path_buf(),
             epoch,
@@ -323,9 +335,12 @@ pub struct WalGroup {
 }
 
 /// Reads every intact committed group from the log at `path`. A missing
-/// file is an empty log. A torn or corrupt tail (short header, truncated
-/// payload, CRC mismatch, bad magic, malformed record) ends the scan at the
-/// last intact frame — exactly the crash-discard semantics replay wants.
+/// file is an empty log. A torn tail (short header, truncated payload, CRC
+/// mismatch, bad magic, malformed record) ends the scan at the last intact
+/// frame — exactly the crash-discard semantics replay wants. Damage
+/// anywhere else is corruption, not a crash: a bad frame followed by any
+/// intact frame fails with [`std::io::ErrorKind::InvalidData`] rather than
+/// silently dropping the acked groups behind it.
 pub fn read_wal(path: &Path) -> std::io::Result<Vec<WalGroup>> {
     let mut bytes = Vec::new();
     match File::open(path) {
@@ -338,45 +353,49 @@ pub fn read_wal(path: &Path) -> std::io::Result<Vec<WalGroup>> {
 
     let mut groups = Vec::new();
     let mut at = 0usize;
-    while bytes.len() - at >= FRAME_HEADER {
-        let word =
-            |o: usize| -> u32 { u32::from_le_bytes(bytes[at + o..at + o + 4].try_into().unwrap()) };
-        if word(0) != WAL_MAGIC {
-            break;
-        }
-        let epoch = word(4);
-        let payload_len = word(8) as usize;
-        let crc = u64::from_le_bytes(bytes[at + 12..at + 20].try_into().unwrap());
-        let start = at + FRAME_HEADER;
-        let Some(payload) = bytes.get(start..start + payload_len) else {
-            break; // torn tail: frame promised more payload than exists
-        };
-        if fnv1a(payload) != crc {
-            break; // corrupt frame: treat it (and everything after) as lost
-        }
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        let mut intact = true;
-        while pos < payload.len() {
-            match WalRecord::decode(payload, &mut pos) {
-                Some(rec) => records.push(rec),
-                None => {
-                    intact = false;
-                    break;
-                }
-            }
-        }
-        if !intact {
-            break;
-        }
-        at = start + payload_len;
-        groups.push(WalGroup {
-            epoch,
-            records,
-            end_offset: at as u64,
-        });
+    while let Some(group) = frame_at(&bytes, at) {
+        at = group.end_offset as usize;
+        groups.push(group);
+    }
+    if (at + 1..bytes.len()).any(|later| frame_at(&bytes, later).is_some()) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "{}: damaged frame at byte {at} is followed by an intact frame \
+                 (mid-log corruption, not a torn tail)",
+                path.display()
+            ),
+        ));
     }
     Ok(groups)
+}
+
+/// Decodes the frame starting at byte `at`, or `None` if there is no
+/// intact one there (short header, bad magic, truncated payload, CRC
+/// mismatch, or a malformed record).
+fn frame_at(bytes: &[u8], at: usize) -> Option<WalGroup> {
+    let header = bytes.get(at..at + FRAME_HEADER)?;
+    let word = |o: usize| u32::from_le_bytes(header[o..o + 4].try_into().expect("4-byte field"));
+    if word(0) != WAL_MAGIC {
+        return None;
+    }
+    let payload_len = word(8) as usize;
+    let crc = u64::from_le_bytes(header[12..20].try_into().expect("8-byte field"));
+    let start = at + FRAME_HEADER;
+    let payload = bytes.get(start..start + payload_len)?;
+    if fnv1a(payload) != crc {
+        return None;
+    }
+    let mut records = Vec::new();
+    let mut pos = 0usize;
+    while pos < payload.len() {
+        records.push(WalRecord::decode(payload, &mut pos)?);
+    }
+    Some(WalGroup {
+        epoch: word(4),
+        records,
+        end_offset: (start + payload_len) as u64,
+    })
 }
 
 /// One live object (or routing assignment) in a checkpoint.
@@ -614,6 +633,78 @@ mod tests {
         let groups = read_wal(&path).unwrap();
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].end_offset, first_end as u64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A three-frame log (one `Allocate` per frame) and each frame's end.
+    fn three_frame_log(path: &Path) -> (Vec<u8>, Vec<usize>) {
+        let mut w = WalWriter::open(path, 0).unwrap();
+        for i in 0..3u64 {
+            w.append(WalRecord::Allocate {
+                id: ObjectId(i),
+                offset: 8 * i,
+                len: 8,
+                digest: i,
+            });
+            w.commit().unwrap();
+        }
+        let ends = read_wal(path)
+            .unwrap()
+            .iter()
+            .map(|g| g.end_offset as usize)
+            .collect();
+        (std::fs::read(path).unwrap(), ends)
+    }
+
+    #[test]
+    fn corrupt_first_frame_is_an_error_not_an_empty_log() {
+        let dir = tmpdir("corrupt-first");
+        let path = wal_path(&dir, 0);
+        let (mut bytes, _) = three_frame_log(&path);
+        bytes[FRAME_HEADER] ^= 0xff; // a payload byte of frame 0
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read_wal(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // A writer refuses to append behind the damage, too.
+        assert!(WalWriter::open(&path, 0).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_last_frame_is_a_torn_tail() {
+        let dir = tmpdir("corrupt-last");
+        let path = wal_path(&dir, 0);
+        let (mut bytes, ends) = three_frame_log(&path);
+        bytes[ends[1] + FRAME_HEADER] ^= 0xff; // a payload byte of frame 2
+        std::fs::write(&path, &bytes).unwrap();
+        let groups = read_wal(&path).unwrap();
+        assert_eq!(groups.len(), 2);
+        assert_eq!(groups[1].end_offset, ends[1] as u64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mid_payload_truncation_is_a_torn_tail() {
+        let dir = tmpdir("torn-payload");
+        let path = wal_path(&dir, 0);
+        let (bytes, ends) = three_frame_log(&path);
+        let cut = ends[1] + FRAME_HEADER + (ends[2] - ends[1] - FRAME_HEADER) / 2;
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let groups = read_wal(&path).unwrap();
+        assert_eq!(groups.len(), 2);
+
+        // Reopening trims the torn tail, so the next commit lands right
+        // after the last intact frame and the log reads back whole.
+        let mut w = WalWriter::open(&path, 0).unwrap();
+        w.append(WalRecord::Free {
+            id: ObjectId(0),
+            offset: 0,
+            len: 8,
+        });
+        w.commit().unwrap();
+        let groups = read_wal(&path).unwrap();
+        assert_eq!(groups.len(), 3);
+        assert_eq!(groups[2].records.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

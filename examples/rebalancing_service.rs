@@ -136,7 +136,7 @@ fn main() {
     let finals = engine.shutdown().expect("clean shutdown");
     let migrations: u64 = finals.iter().map(|f| f.stats.migrations_in).sum();
     println!(
-        "\nshutdown: {} shard ledgers ({} live + {} retired), {migrations} migrations ledgered",
+        "\nshutdown: {} shard finals ({} live + {} retired), {migrations} migrations counted",
         finals.len(),
         3,
         finals.len() - 3

@@ -13,7 +13,7 @@
 //!    the object's bytes out of its window, the target re-checksums them
 //!    on arrival and writes exactly what was shipped;
 //! 3. every quiesce barrier byte-verifies every shard (the `Quiesce`
-//!    cadence), and the ledgered migrate volume is shown equal to the
+//!    cadence), and the counted migrate volume is shown equal to the
 //!    cells physically copied between windows;
 //! 4. finally, a fault is injected: one byte of one in-flight transfer is
 //!    flipped. The receiving shard refuses the damaged payload, the
@@ -103,10 +103,10 @@ fn main() {
     );
     assert!(report.after.imbalance_ratio() < 1.25);
 
-    // ---- 3. physical bytes == ledgered volume ---------------------------
+    // ---- 3. physical bytes == counted volume ----------------------------
     println!(
         "transfers: {} cells copied out of source windows, {} adopted (checksummed) \
-         — ledger says {} out / {} in",
+         — stats say {} out / {} in",
         after.bytes_migrated_out(),
         after.bytes_migrated_in(),
         after.migrated_volume_out(),

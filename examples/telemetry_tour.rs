@@ -9,8 +9,8 @@
 //!    (`count = Σ buckets`), the extremes bracket the data
 //!    (`min ≤ mean ≤ max`), and percentiles are monotone in `q` and
 //!    clamped to `[min, max]`.
-//! 2. **Sim time is ledger pricing.** The per-shard simulated device time
-//!    the scrape reports must equal pricing the shard's own cost ledger
+//! 2. **Sim time is cost pricing.** The per-shard simulated device time
+//!    the scrape reports must equal pricing the shard's own cost summary
 //!    through the same [`DeviceModel`](storage_realloc::sim::DeviceModel)
 //!    — the cost-oblivious algorithm never saw the device, so the
 //!    agreement (to float round-off) *is* cost obliviousness, observed.
@@ -58,7 +58,7 @@ fn tour(profile: DeviceProfile, workload: &Workload) {
     println!("── device profile: {} ──", profile.name());
     println!(
         "{:>5} {:>12} {:>12} {:>12} {:>10} {:>10}",
-        "shard", "serve sim µs", "migr sim µs", "ledger µs", "batch p50", "batch p99"
+        "shard", "serve sim µs", "migr sim µs", "priced µs", "batch p50", "batch p99"
     );
 
     // 1. Every exported histogram satisfies the structural invariants.
@@ -74,7 +74,7 @@ fn tour(profile: DeviceProfile, workload: &Workload) {
         }
     }
 
-    // 2. Sim time ≈ pricing the ledger through the same device model.
+    // 2. Sim time ≈ pricing the cost summary through the same device model.
     let device = profile.build();
     let price = |w: u64| {
         device.time_of(&StorageOp::Allocate {
@@ -84,14 +84,14 @@ fn tour(profile: DeviceProfile, workload: &Workload) {
     };
     let checkpoint = device.time_of(&StorageOp::CheckpointBarrier);
     for (m, f) in scrape.per_shard.iter().zip(&finals) {
-        let ledger_us = f.ledger.total_alloc_cost(&price)
-            + f.ledger.total_realloc_cost(&price)
-            + f.ledger.total_checkpoints() as f64 * checkpoint;
+        let priced_us = f.costs.total_alloc_cost(&price)
+            + f.costs.total_realloc_cost(&price)
+            + f.costs.total_checkpoints() as f64 * checkpoint;
         let sim_us = m.serve_sim_us + m.migrate_sim_us;
-        let rel = (sim_us - ledger_us).abs() / ledger_us.max(1.0);
+        let rel = (sim_us - priced_us).abs() / priced_us.max(1.0);
         assert!(
             rel < 1e-9,
-            "shard {}: sim {sim_us} µs disagrees with ledger {ledger_us} µs (rel {rel})",
+            "shard {}: sim {sim_us} µs disagrees with priced {priced_us} µs (rel {rel})",
             m.shard
         );
         println!(
@@ -99,7 +99,7 @@ fn tour(profile: DeviceProfile, workload: &Workload) {
             m.shard,
             m.serve_sim_us,
             m.migrate_sim_us,
-            ledger_us,
+            priced_us,
             m.batch_sim_us.p50(),
             m.batch_sim_us.p99(),
         );

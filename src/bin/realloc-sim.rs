@@ -34,7 +34,8 @@
 //!                        resizes collapse to the last size. The stats
 //!                        table grows coalesced/cancelled columns and the
 //!                        telemetry table reports raw vs planned batch
-//!                        sizes (acks and ledgers stay per-request)
+//!                        sizes (acks stay per-request; the cost table
+//!                        prices the planned stream)
 //!   --router <kind>      hash (default) or table (id → shard map with a
 //!                        rendezvous fallback; enables rebalancing)
 //!   --rebalance-every <n>  rebalance after every n requests (table router).
@@ -707,7 +708,7 @@ fn drive_workload(
 /// `realloc-sim engine`: serve the workload through the sharded engine
 /// (optionally rebalancing, resizing, and/or crash-recovering along the
 /// way) and print the per-shard stats table, the aggregate row, and cost
-/// ratios priced over the union of the shard ledgers.
+/// ratios priced over the union of the shards' cost summaries.
 fn run_engine(args: &Args, workload: &Workload) -> ExitCode {
     if make_algorithm(&args.variant, args.eps).is_none() {
         eprintln!("error: unknown engine variant {:?}", args.variant);
@@ -1028,16 +1029,16 @@ fn run_engine(args: &Args, workload: &Workload) -> ExitCode {
         print_metrics(snapshot);
     }
 
-    println!("\n-- cost competitiveness over the union of shard ledgers --");
+    println!("\n-- cost competitiveness over the union of shard cost summaries --");
     for f in storage_realloc::cost::standard_suite() {
         let price = |w: u64| f.cost(w);
         let alloc: f64 = finals
             .iter()
-            .map(|s| s.ledger.total_alloc_cost(&price))
+            .map(|s| s.costs.total_alloc_cost(&price))
             .sum();
         let realloc: f64 = finals
             .iter()
-            .map(|s| s.ledger.total_realloc_cost(&price))
+            .map(|s| s.costs.total_realloc_cost(&price))
             .sum();
         let ratio = if alloc == 0.0 { 0.0 } else { realloc / alloc };
         println!("  {:>12}: {ratio:.3}", f.name());

@@ -16,7 +16,7 @@
 //! | Re-export | Crate | Contents |
 //! |-----------|-------|----------|
 //! | [`core`] | `realloc-core` | the paper's algorithms (§2, §3.2, §3.3, Thm 2.7) |
-//! | [`common`] | `realloc-common` | shared types: ids, extents, ops, the [`Reallocator`](common::Reallocator) trait, cost ledger |
+//! | [`common`] | `realloc-common` | shared types: ids, extents, ops, the [`Reallocator`](common::Reallocator) trait, cost ledger and bounded cost summary |
 //! | [`cost`] | `cost-model` | the `Fsa` cost-function suite + membership checks |
 //! | [`sim`] | `storage-sim` | block translation layer, checkpoint rules, crash recovery |
 //! | [`workloads`] | `workload-gen` | churn/trace/adversarial request generators + the shard splitter |
@@ -54,8 +54,8 @@ pub mod prelude {
         BuddyAllocator, FitStrategy, FreeListAllocator, LogCompactAllocator, SizeClassGapsAllocator,
     };
     pub use crate::common::{
-        BoxedReallocator, Extent, HashRouter, Ledger, ObjectId, OpKind, Outcome, ReallocError,
-        Reallocator, Router, StorageOp, TableRouter,
+        BoxedReallocator, CostSummary, Extent, HashRouter, Ledger, ObjectId, OpKind, Outcome,
+        ReallocError, Reallocator, Router, StorageOp, TableRouter,
     };
     pub use crate::core::{
         defragment, CheckpointedReallocator, CostObliviousReallocator, DeamortizedReallocator,

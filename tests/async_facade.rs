@@ -4,7 +4,7 @@
 //! and runs the *same* shard state machines on fleet workers, so for any
 //! request sequence the two must agree on everything deterministic:
 //! extents, physical substrate bytes, aggregated stats (batch counts
-//! included), per-shard ledgers, and the metrics projection that
+//! included), per-shard cost summaries, and the metrics projection that
 //! participates in `MetricsSnapshot`'s `==`. These tests pin that for
 //! all four registry variants — with stealing both off and on (a steal
 //! moves *where* a batch runs, never *what* it computes), with futures
@@ -56,7 +56,7 @@ struct Observed {
     extents: Vec<Vec<(ObjectId, Extent)>>,
     bytes: Vec<Vec<(ObjectId, Vec<u8>)>>,
     metrics: MetricsSnapshot,
-    ledgers: Vec<Vec<storage_realloc::common::OpRecord>>,
+    costs: Vec<storage_realloc::common::CostSummary>,
 }
 
 fn config(shards: usize) -> EngineConfig {
@@ -86,10 +86,7 @@ fn run_sync(variant: &str, eps: f64, shards: usize, requests: &[Request]) -> Obs
         extents,
         bytes,
         metrics,
-        ledgers: finals
-            .into_iter()
-            .map(|f| f.ledger.records().to_vec())
-            .collect(),
+        costs: finals.into_iter().map(|f| f.costs).collect(),
     }
 }
 
@@ -134,10 +131,7 @@ fn run_async(
         extents,
         bytes,
         metrics,
-        ledgers: finals
-            .into_iter()
-            .map(|f| f.ledger.records().to_vec())
-            .collect(),
+        costs: finals.into_iter().map(|f| f.costs).collect(),
     }
 }
 
@@ -146,7 +140,7 @@ proptest! {
 
     /// Async facade ≡ sync handle for every registry variant: same
     /// extents, same bytes, same stats (including batch counts), same
-    /// ledgers, same deterministic metrics projection — stealing on or
+    /// cost summaries, same deterministic metrics projection — stealing on or
     /// off, futures dropped or awaited out of order.
     #[test]
     fn async_facade_equals_sync_handle(
@@ -168,8 +162,8 @@ proptest! {
             );
             prop_assert_eq!(&sync.bytes, &asynced.bytes, "{}: bytes diverge", variant);
             prop_assert_eq!(
-                &sync.ledgers, &asynced.ledgers,
-                "{}: ledgers diverge", variant
+                &sync.costs, &asynced.costs,
+                "{}: cost summaries diverge", variant
             );
             // MetricsSnapshot's == is exactly the deterministic
             // projection (stats + sim time + deterministic histograms);

@@ -163,7 +163,7 @@ fn every_kill_point_recovers_to_one_owner_per_object() {
                 );
             }
         }
-        // Ledger/physical agreement: the stats the barrier reports count
+        // Stats/physical agreement: the stats the barrier reports count
         // exactly the extents that exist.
         let stats = engine.quiesce().unwrap();
         assert_eq!(stats.live_count(), seen.len());

@@ -160,6 +160,85 @@ proptest! {
         }
     }
 
+    /// The bounded cost summary prices any outcome stream exactly like the
+    /// per-request ledger, under every standard cost function, while
+    /// holding one entry per distinct size.
+    #[test]
+    fn cost_summary_prices_like_the_ledger(
+        stream in prop::collection::vec(
+            (0u8..3, 1u64..=300, prop::collection::vec(1u64..=300, 0..6), 0u32..3),
+            0..200,
+        ),
+    ) {
+        let mut ledger = Ledger::new();
+        let mut summary = CostSummary::new();
+        let mut alloc_sizes = std::collections::HashSet::new();
+        let mut moved_sizes = std::collections::HashSet::new();
+        for (kind, size, moves, checkpoints) in &stream {
+            let mut ops: Vec<StorageOp> = moves
+                .iter()
+                .map(|&w| StorageOp::Move {
+                    id: ObjectId(w),
+                    from: Extent::new(1_000, w),
+                    to: Extent::new(0, w),
+                })
+                .collect();
+            ops.extend((0..*checkpoints).map(|_| StorageOp::CheckpointBarrier));
+            let outcome = Outcome {
+                ops,
+                flushed: !moves.is_empty(),
+                peak_structure_size: 0,
+                checkpoints: *checkpoints,
+            };
+            moved_sizes.extend(moves.iter().copied());
+            match kind {
+                // A client insert allocates its size.
+                0 => {
+                    ledger.record(OpKind::Insert, *size, Some(*size), &outcome, 0, 0, 0);
+                    summary.record(Some(*size), &outcome);
+                    alloc_sizes.insert(*size);
+                }
+                // A delete (or drain) allocates nothing.
+                1 => {
+                    ledger.record(OpKind::Delete, *size, None, &outcome, 0, 0, 0);
+                    summary.record(None, &outcome);
+                }
+                // A transfer arrival: the object itself is one more move.
+                _ => {
+                    let mut record_moves = vec![*size];
+                    record_moves.extend(moves.iter().copied());
+                    ledger.push(storage_realloc::common::OpRecord {
+                        kind: OpKind::MigrateIn,
+                        request_size: *size,
+                        allocated: None,
+                        moved_sizes: record_moves,
+                        checkpoints: *checkpoints,
+                        structure_after: 0,
+                        peak_during: 0,
+                        volume_after: 0,
+                        delta_after: 0,
+                    });
+                    summary.record_move(*size);
+                    summary.record(None, &outcome);
+                    moved_sizes.insert(*size);
+                }
+            }
+        }
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+        for f in standard_suite() {
+            let price = |w: u64| f.cost(w);
+            let (la, sa) = (ledger.total_alloc_cost(&price), summary.total_alloc_cost(&price));
+            prop_assert!(close(la, sa), "{}: alloc {la} vs {sa}", f.name());
+            let (lr, sr) = (ledger.total_realloc_cost(&price), summary.total_realloc_cost(&price));
+            prop_assert!(close(lr, sr), "{}: realloc {lr} vs {sr}", f.name());
+        }
+        prop_assert_eq!(ledger.total_checkpoints(), summary.total_checkpoints());
+        prop_assert_eq!(ledger.total_moves() as u64, summary.total_moves());
+        prop_assert_eq!(ledger.total_moved_volume(), summary.total_moved_volume());
+        prop_assert!(summary.distinct_allocated_sizes() <= alloc_sizes.len());
+        prop_assert!(summary.distinct_moved_sizes() <= moved_sizes.len());
+    }
+
     /// Baselines also maintain exact liveness and disjoint placements.
     #[test]
     fn baselines_maintain_disjoint_placements(ops in op_sequence()) {

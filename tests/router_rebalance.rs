@@ -460,7 +460,7 @@ fn skewed_deletes_repaired_by_online_rebalance_while_serving() {
             }
         }
         assert_eq!(seen, reference, "{variant}: object set diverged");
-        // The migration physically moved the bytes: ledger volume equals
+        // The migration physically moved the bytes: counted volume equals
         // cells copied across address spaces, and everything verifies.
         assert_eq!(stats.bytes_migrated_out(), stats.bytes_migrated_in());
         assert!(stats.bytes_migrated_in() >= report.migrated_volume);

@@ -18,7 +18,7 @@
 //!   to the shard that physically owns it, bytes intact.
 //! * The acceptance scenario: a skewed-churn storm repaired by an online
 //!   rebalance under live traffic passes per-shard byte verification at
-//!   every quiesce, and the ledgered migrate-out volume equals the cells
+//!   every quiesce, and the counted migrate-out volume equals the cells
 //!   the substrates actually copied across address spaces.
 
 use proptest::prelude::*;
@@ -284,7 +284,7 @@ fn corrupted_transfer_byte_aborts_online_session_with_routing_consistent() {
 
 /// The acceptance scenario: a skewed-churn storm + online rebalance on a
 /// substrate-backed fleet passes per-shard byte verification at every
-/// quiesce, and the ledgered migrate-out volume equals the cells the
+/// quiesce, and the counted migrate-out volume equals the cells the
 /// substrates actually copied across address spaces.
 #[test]
 fn skewed_storm_online_rebalance_is_byte_verified_end_to_end() {
@@ -337,33 +337,27 @@ fn skewed_storm_online_rebalance_is_byte_verified_end_to_end() {
         let stats = engine.quiesce().expect("quiesce");
         assert_eq!(stats.errors(), 0, "{variant}");
 
-        // The ledger and the physical byte counters agree: every ledgered
-        // MigrateOut cell was actually copied out of its source window,
-        // and every copy arrived (checksummed) in another window.
+        // The migration counters and the physical byte counters agree:
+        // every counted migrate-out cell was actually copied out of its
+        // source window, and every copy arrived (checksummed) in another
+        // window.
         let finals = engine.shutdown().expect("shutdown");
-        let ledger_out: u64 = finals
-            .iter()
-            .flat_map(|f| f.ledger.records())
-            .filter(|r| r.kind == OpKind::MigrateOut)
-            .map(|r| r.request_size)
-            .sum();
-        let ledger_in: u64 = finals
-            .iter()
-            .flat_map(|f| f.ledger.records())
-            .filter(|r| r.kind == OpKind::MigrateIn)
-            .map(|r| r.request_size)
-            .sum();
+        let counted_out: u64 = finals.iter().map(|f| f.stats.migrated_volume_out).sum();
+        let counted_in: u64 = finals.iter().map(|f| f.stats.migrated_volume_in).sum();
         assert_eq!(
-            ledger_out,
+            counted_out,
             stats.bytes_migrated_out(),
-            "{variant}: ledgered migrate-out volume != cells physically copied out"
+            "{variant}: counted migrate-out volume != cells physically copied out"
         );
         assert_eq!(
-            ledger_in,
+            counted_in,
             stats.bytes_migrated_in(),
-            "{variant}: ledgered migrate-in volume != cells physically adopted"
+            "{variant}: counted migrate-in volume != cells physically adopted"
         );
-        assert_eq!(ledger_out, ledger_in, "{variant}: a transfer went missing");
-        assert!(ledger_out > 0, "{variant}: nothing migrated");
+        assert_eq!(
+            counted_out, counted_in,
+            "{variant}: a transfer went missing"
+        );
+        assert!(counted_out > 0, "{variant}: nothing migrated");
     }
 }

@@ -5,7 +5,7 @@
 //! scrape that join the determinism surface must be bitwise-identical
 //! across repeat runs, while wall-clock observations are excluded from
 //! every `==`. These tests pin all of that down, plus the delta-scrape
-//! semantics and the agreement between sim-time and ledger pricing.
+//! semantics and the agreement between sim-time and cost-summary pricing.
 
 use proptest::prelude::*;
 use storage_realloc::engine::SpanPhase;
@@ -71,7 +71,7 @@ fn repeat_runs_scrape_identically() {
 
 /// Telemetry off ≡ telemetry on, for every paper variant: identical
 /// extents, identical stats (the sim-time fields are zero in both runs
-/// without a device), identical ledger contents.
+/// without a device), identical cost summaries.
 #[test]
 fn telemetry_is_a_pure_observer() {
     let workload = churn(20_000, 4_000, 11);
@@ -91,11 +91,7 @@ fn telemetry_is_a_pure_observer() {
         assert_eq!(ext_on, ext_off, "{variant}: extents diverged");
         for (a, b) in fin_on.iter().zip(&fin_off) {
             assert_eq!(a.stats, b.stats, "{variant}: stats diverged");
-            assert_eq!(
-                a.ledger.records(),
-                b.ledger.records(),
-                "{variant}: ledgers diverged"
-            );
+            assert_eq!(a.costs, b.costs, "{variant}: cost summaries diverged");
         }
     }
 }
@@ -131,44 +127,103 @@ fn device_pricing_is_a_pure_observer() {
     assert_eq!(stats_none.sim_time(), 0.0);
 }
 
-/// Sim time must agree with pricing the shard ledgers through the same
-/// cost function: serve+migrate lanes ≈ alloc cost + realloc cost +
-/// checkpoint barriers × checkpoint latency. The §2 algorithm's quiesce
-/// is a no-op (no unledgered drain ops), so the agreement is exact up to
-/// float association order.
+/// Prices the shards' cost summaries through `profile`'s device model:
+/// alloc cost + realloc cost + checkpoint barriers × checkpoint latency.
+fn priced_time(profile: DeviceProfile, finals: &[ShardFinal]) -> f64 {
+    let device = profile.build();
+    let price = |w: u64| {
+        device.time_of(&StorageOp::Allocate {
+            id: ObjectId(0),
+            to: Extent::new(0, w),
+        })
+    };
+    let checkpoint_latency = device.time_of(&StorageOp::CheckpointBarrier);
+    finals
+        .iter()
+        .map(|f| {
+            f.costs.total_alloc_cost(&price)
+                + f.costs.total_realloc_cost(&price)
+                + f.costs.total_checkpoints() as f64 * checkpoint_latency
+        })
+        .sum()
+}
+
+/// Asserts that serve+migrate sim time equals the post-hoc price of the
+/// shards' cost summaries, and that the summaries count exactly the moves
+/// the stats report (serving, drains and transfers, plus defrag moves).
+fn assert_sim_time_is_priced(
+    label: &str,
+    profile: DeviceProfile,
+    stats: &EngineStats,
+    finals: &[ShardFinal],
+) {
+    let priced = priced_time(profile, finals);
+    let sim = stats.serve_sim_time() + stats.migrate_sim_time();
+    let rel = (sim - priced).abs() / priced.max(1.0);
+    assert!(
+        rel < 1e-9,
+        "{label}/{}: sim {sim} vs priced {priced} (rel {rel})",
+        profile.name()
+    );
+    let counted: u64 = finals.iter().map(|f| f.costs.total_moves()).sum();
+    assert_eq!(
+        counted,
+        stats.total_moves() + stats.defrag_moves(),
+        "{label}: the cost summaries and the stats disagree on moves"
+    );
+}
+
+/// Sim time must agree with pricing the shard cost summaries through the
+/// same cost function, for every paper variant: every outcome a shard
+/// absorbs — quiesce drains included — is both priced on the sim clock
+/// and recorded in the summary, so the agreement is exact up to float
+/// association order.
 #[test]
 fn sim_time_agrees_with_ledger_pricing() {
     let workload = churn(25_000, 5_000, 17);
-    for profile in [DeviceProfile::Unit, DeviceProfile::Disk, DeviceProfile::Ssd] {
-        let mut config = EngineConfig::with_shards(2);
-        config.device = Some(profile);
-        let mut engine = Engine::new(config, |_| build("cost-oblivious", 0.25));
-        engine.drive(&workload).unwrap();
-        let stats = engine.quiesce().unwrap();
-        let finals = engine.shutdown().unwrap();
-
-        let device = profile.build();
-        let price = |w: u64| {
-            device.time_of(&StorageOp::Allocate {
-                id: ObjectId(0),
-                to: Extent::new(0, w),
-            })
-        };
-        let checkpoint_latency = device.time_of(&StorageOp::CheckpointBarrier);
-        let mut ledger_time = 0.0;
-        for f in &finals {
-            ledger_time += f.ledger.total_alloc_cost(&price);
-            ledger_time += f.ledger.total_realloc_cost(&price);
-            ledger_time += f.ledger.total_checkpoints() as f64 * checkpoint_latency;
+    for variant in VARIANTS {
+        for profile in [DeviceProfile::Unit, DeviceProfile::Disk, DeviceProfile::Ssd] {
+            let mut config = EngineConfig::with_shards(2);
+            config.device = Some(profile);
+            let mut engine = Engine::new(config, |_| build(variant, 0.25));
+            engine.drive(&workload).unwrap();
+            let stats = engine.quiesce().unwrap();
+            let finals = engine.shutdown().unwrap();
+            assert_sim_time_is_priced(variant, profile, &stats, &finals);
         }
-        let sim = stats.serve_sim_time() + stats.migrate_sim_time();
-        let rel = (sim - ledger_time).abs() / ledger_time.max(1.0);
-        assert!(
-            rel < 1e-9,
-            "{}: sim {sim} vs ledger {ledger_time} (rel {rel})",
-            profile.name()
-        );
     }
+
+    // The deamortized structure defers its flushes, so the final quiesce
+    // drains one still in flight: its moves must be priced too.
+    let mut rng = 9_u64; // a seed whose final quiesce drains ~3k moves
+    let mut next = move |bound: u64| {
+        // SplitMix64: a fixed, dependency-free stream.
+        rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % bound
+    };
+    let mut config = EngineConfig::with_shards(1);
+    config.device = Some(DeviceProfile::Unit);
+    let mut engine = Engine::new(config, |_| build("deamortized", 0.25));
+    for i in 0..3_000u64 {
+        engine.insert(ObjectId(i), 1 + next(200)).unwrap();
+    }
+    for i in 0..3_000u64 {
+        if next(2) == 0 {
+            engine.delete(ObjectId(i)).unwrap();
+        }
+    }
+    let before = engine.snapshot().unwrap();
+    let stats = engine.quiesce().unwrap();
+    assert!(
+        before.total_moves() < stats.total_moves(),
+        "the final quiesce drained nothing ({} moves before and after)",
+        stats.total_moves()
+    );
+    let finals = engine.shutdown().unwrap();
+    assert_sim_time_is_priced("deamortized drain", DeviceProfile::Unit, &stats, &finals);
 }
 
 /// Delta scrapes: counters and histograms subtract, gauges stay current.
@@ -377,7 +432,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Property: for random small workloads, metrics-on and metrics-off
-    /// runs agree on extents, stats, and ledger contents for all three
+    /// runs agree on extents, stats, and cost summaries for all three
     /// paper variants.
     #[test]
     fn prop_metrics_do_not_perturb(seed in 0u64..1_000, ops in 200usize..800) {
@@ -402,7 +457,7 @@ proptest! {
                 prop_assert_eq!(a.stats.live_volume, b.stats.live_volume);
                 prop_assert_eq!(a.stats.footprint, b.stats.footprint);
                 prop_assert_eq!(a.stats.total_moves, b.stats.total_moves);
-                prop_assert_eq!(a.ledger.records().len(), b.ledger.records().len());
+                prop_assert_eq!(&a.costs, &b.costs);
             }
         }
     }

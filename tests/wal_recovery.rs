@@ -369,3 +369,35 @@ fn recovery_is_idempotent_under_a_second_crash() {
     assert_consistent(&mut second, &expected);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Mid-log corruption is not a torn tail: with the first group-committed
+/// frame of a log damaged and later frames intact, recovery must fail
+/// loudly instead of silently dropping every acked group in that log.
+#[test]
+fn corrupted_first_frame_fails_recovery() {
+    let dir = temp_dir("corrupt-first");
+    let mut engine = walled_engine(1, &dir);
+    for i in 0..8u64 {
+        engine.insert(ObjectId(i), size_of(i)).unwrap();
+        engine.flush().unwrap(); // one group commit per insert
+    }
+    engine.crash();
+
+    let path = wal_path(&dir, 0);
+    let groups = storage_realloc::sim::read_wal(&path).unwrap();
+    assert!(groups.len() >= 2, "need a frame after the damaged one");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let header = 4 + 4 + 4 + 8; // magic, epoch, payload length, CRC
+    bytes[header] ^= 0xff; // a payload byte of frame 0
+    std::fs::write(&path, &bytes).unwrap();
+
+    let err = Engine::recover(
+        EngineConfig::with_shards(1).with_substrate(SubstrateConfig::default()),
+        &dir,
+        |_| Box::new(CostObliviousReallocator::new(0.25)) as _,
+    )
+    .err()
+    .expect("recovery over a corrupted first frame must fail");
+    assert!(matches!(err, EngineError::Wal { .. }), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
