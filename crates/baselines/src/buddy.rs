@@ -143,6 +143,16 @@ impl Reallocator for BuddyAllocator {
         self.allocated.get(&id).map(|&(e, _)| e)
     }
 
+    fn is_live(&self, id: ObjectId) -> bool {
+        self.allocated.contains_key(&id)
+    }
+
+    fn for_each_live(&self, f: &mut dyn FnMut(ObjectId, Extent)) {
+        for (&id, &(e, _)) in &self.allocated {
+            f(id, e);
+        }
+    }
+
     fn live_volume(&self) -> u64 {
         self.volume
     }

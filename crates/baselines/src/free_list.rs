@@ -165,6 +165,16 @@ impl Reallocator for FreeListAllocator {
         self.allocated.get(&id).copied()
     }
 
+    fn is_live(&self, id: ObjectId) -> bool {
+        self.allocated.contains_key(&id)
+    }
+
+    fn for_each_live(&self, f: &mut dyn FnMut(ObjectId, Extent)) {
+        for (&id, &e) in &self.allocated {
+            f(id, e);
+        }
+    }
+
     fn live_volume(&self) -> u64 {
         self.volume
     }

@@ -295,6 +295,16 @@ impl Reallocator for SizeClassGapsAllocator {
             .map(|&(_, size, offset)| Extent::new(offset, size))
     }
 
+    fn is_live(&self, id: ObjectId) -> bool {
+        self.index.contains_key(&id)
+    }
+
+    fn for_each_live(&self, f: &mut dyn FnMut(ObjectId, Extent)) {
+        for (&id, &(_, size, offset)) in &self.index {
+            f(id, Extent::new(offset, size));
+        }
+    }
+
     fn live_volume(&self) -> u64 {
         self.volume
     }

@@ -58,6 +58,19 @@ pub trait Reallocator {
     /// Current placement of an active object.
     fn extent_of(&self, id: ObjectId) -> Option<Extent>;
 
+    /// Whether `id` is *logically* live: inserted and not deleted since.
+    /// Unlike [`extent_of`](Self::extent_of), which still answers for an
+    /// object whose delete the deamortized structure has logged but not yet
+    /// drained (it occupies space until then), this follows the request
+    /// history exactly.
+    fn is_live(&self, id: ObjectId) -> bool;
+
+    /// Visits every logically live object (see [`is_live`](Self::is_live))
+    /// once, with its current placement, in unspecified order; pending
+    /// deletes are skipped. A serving layer enumerates its objects through
+    /// this rather than mirroring the live set request by request.
+    fn for_each_live(&self, f: &mut dyn FnMut(ObjectId, Extent));
+
     /// Total volume `V` of active objects. Objects whose delete has been
     /// requested but not yet completed (deamortized structure) still count,
     /// matching the paper's definition of *active*.

@@ -729,6 +729,14 @@ impl Reallocator for DeamortizedReallocator {
         self.layout.extent_of(id)
     }
 
+    fn is_live(&self, id: ObjectId) -> bool {
+        self.layout.is_live(id)
+    }
+
+    fn for_each_live(&self, f: &mut dyn FnMut(ObjectId, Extent)) {
+        self.layout.for_each_live(f)
+    }
+
     fn live_volume(&self) -> u64 {
         self.layout.live_volume()
     }

@@ -361,6 +361,23 @@ impl Layout {
         self.index.get(&id).map(Entry::extent)
     }
 
+    /// Whether `id` is live and not pending delete (see
+    /// [`Reallocator::is_live`](realloc_common::Reallocator::is_live)).
+    pub fn is_live(&self, id: ObjectId) -> bool {
+        self.index.get(&id).is_some_and(|e| !e.pending_delete)
+    }
+
+    /// Visits every live object that is not pending delete, with its
+    /// placement (see
+    /// [`Reallocator::for_each_live`](realloc_common::Reallocator::for_each_live)).
+    pub fn for_each_live(&self, f: &mut dyn FnMut(ObjectId, Extent)) {
+        for (&id, entry) in &self.index {
+            if !entry.pending_delete {
+                f(id, entry.extent());
+            }
+        }
+    }
+
     /// Snapshot of the volume accounting (see [`VolumeSummary`]).
     pub fn volume_summary(&self) -> VolumeSummary {
         VolumeSummary {

@@ -1295,6 +1295,14 @@ mod tests {
         fn extent_of(&self, id: ObjectId) -> Option<Extent> {
             self.extents.get(&id).copied()
         }
+        fn is_live(&self, id: ObjectId) -> bool {
+            self.extents.contains_key(&id)
+        }
+        fn for_each_live(&self, f: &mut dyn FnMut(ObjectId, Extent)) {
+            for (&id, &e) in &self.extents {
+                f(id, e);
+            }
+        }
         fn live_volume(&self) -> u64 {
             self.volume
         }

@@ -80,6 +80,8 @@
 //! #         self.1 -= self.0.remove(&id).unwrap_or(0); Ok(Outcome::empty())
 //! #     }
 //! #     fn extent_of(&self, _: ObjectId) -> Option<Extent> { None }
+//! #     fn is_live(&self, id: ObjectId) -> bool { self.0.contains_key(&id) }
+//! #     fn for_each_live(&self, _: &mut dyn FnMut(ObjectId, Extent)) {}
 //! #     fn live_volume(&self) -> u64 { self.1 }
 //! #     fn structure_size(&self) -> u64 { self.1 }
 //! #     fn footprint(&self) -> u64 { self.1 }

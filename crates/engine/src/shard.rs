@@ -27,7 +27,7 @@ use realloc_common::{
     CostSummary, Extent, ObjectId, Outcome, ReallocError, Reallocator, StorageOp,
 };
 use storage_sim::wal::{checkpoint_path, read_checkpoint, wal_path, write_checkpoint};
-use storage_sim::{checksum, pattern_for, Checkpoint, CheckpointEntry, WalRecord, WalWriter};
+use storage_sim::{pattern_checksum, Checkpoint, CheckpointEntry, WalRecord, WalWriter};
 use workload_gen::Request;
 
 use crate::metrics::{ShardMetrics, ShardTelemetry, SimLane};
@@ -239,10 +239,6 @@ pub(crate) struct ShardWorker {
     /// Every outcome this worker absorbs, priced post hoc; the move fields
     /// of [`ShardStats`] are read from it.
     costs: CostSummary,
-    /// Ids this shard believes live, by request history. The `Reallocator`
-    /// trait cannot enumerate objects, so the worker tracks the population
-    /// itself to answer [`Command::Extents`].
-    live: HashSet<ObjectId>,
     requests: u64,
     batches: u64,
     /// Valid requests the planner merged within surviving chains.
@@ -291,7 +287,6 @@ impl ShardWorker {
             telemetry: config.telemetry.then(|| ShardTelemetry::new(config.device)),
             coalesce: config.coalesce,
             costs: CostSummary::new(),
-            live: HashSet::new(),
             requests: 0,
             batches: 0,
             requests_coalesced: 0,
@@ -339,7 +334,7 @@ impl ShardWorker {
                     self.verify_substrate();
                 }
                 // Group commit: the whole batch's records become one
-                // durable frame — one fsync per batch, not per op.
+                // frame — one log write per batch, not per op.
                 self.wal_commit();
                 if let (Some(t), Some(start)) = (self.telemetry.as_mut(), started) {
                     t.batch_raw_requests.record(raw);
@@ -370,7 +365,7 @@ impl ShardWorker {
             Command::MigrateOut { ids, reply } => {
                 let mut released = Vec::with_capacity(ids.len());
                 for (id, xfer) in ids {
-                    if !self.live.contains(&id) {
+                    if !self.realloc.is_live(id) {
                         // Deleted by serving traffic since the plan was
                         // drawn (online mode only) — nothing to re-home.
                         continue;
@@ -501,40 +496,17 @@ impl ShardWorker {
         }
     }
 
-    /// Appends one WAL record per physical op to the journal's pending
-    /// buffer. Nothing hits disk here — the records become durable at the
-    /// next [`ShardWorker::wal_commit`] (a batch boundary or a barrier),
-    /// which is what makes the append a *group* commit.
-    ///
-    /// The log stores digests, not payloads: a live object's bytes are
-    /// always `pattern_for(id, len)` (allocations write the pattern, moves
-    /// and transfers preserve it byte-for-byte), so recovery can regenerate
-    /// content and prove it against the journaled digest.
+    /// Appends one WAL record per physical op ([`WalRecord::of_op`]) to
+    /// the journal's pending buffer. Nothing hits disk here — the records
+    /// are written at the next [`ShardWorker::wal_commit`] (a batch
+    /// boundary or a barrier), which is what makes the append a *group*
+    /// commit.
     fn journal_ops(&mut self, ops: &[StorageOp]) {
         let Some(journal) = self.journal.as_mut() else {
             return;
         };
-        for op in ops {
-            match *op {
-                StorageOp::Allocate { id, to } => journal.writer.append(WalRecord::Allocate {
-                    id,
-                    offset: to.offset,
-                    len: to.len,
-                    digest: checksum(&pattern_for(id, to.len)),
-                }),
-                StorageOp::Move { id, from, to } => journal.writer.append(WalRecord::Move {
-                    id,
-                    from: from.offset,
-                    to: to.offset,
-                    len: to.len,
-                }),
-                StorageOp::Free { id, at } => journal.writer.append(WalRecord::Free {
-                    id,
-                    offset: at.offset,
-                    len: at.len,
-                }),
-                StorageOp::CheckpointBarrier => {}
-            }
+        for record in ops.iter().filter_map(WalRecord::of_op) {
+            journal.writer.append(record);
         }
     }
 
@@ -585,13 +557,7 @@ impl ShardWorker {
         let entries = self
             .live_extents()
             .into_iter()
-            .map(|(id, e)| CheckpointEntry {
-                id,
-                offset: e.offset,
-                len: e.len,
-                digest: checksum(&pattern_for(id, e.len)),
-                assigned: pinned.contains(&id),
-            })
+            .map(|(id, e)| CheckpointEntry::new(id, e, pinned.contains(&id)))
             .collect();
         let journal = self.journal.as_mut().expect("checked above");
         let epoch = journal.writer.epoch() + 1;
@@ -623,7 +589,7 @@ impl ShardWorker {
             match *op {
                 StorageOp::Allocate { id, to } if id == arriving => {
                     let digest =
-                        payload.map_or_else(|| checksum(&pattern_for(id, to.len)), |p| p.checksum);
+                        payload.map_or_else(|| pattern_checksum(id, to.len), |p| p.checksum);
                     self.journal.as_mut().expect("checked above").writer.append(
                         WalRecord::MigrateIn {
                             id,
@@ -686,13 +652,13 @@ impl ShardWorker {
         }
     }
 
+    /// Every live object's placement, sorted by id, read straight from the
+    /// reallocator's index (pending deletes excluded).
     fn live_extents(&self) -> Vec<(ObjectId, Extent)> {
-        let mut extents: Vec<(ObjectId, Extent)> = self
-            .live
-            .iter()
-            .filter_map(|&id| self.realloc.extent_of(id).map(|e| (id, e)))
-            .collect();
-        extents.sort_by_key(|&(id, _)| id);
+        let mut extents = Vec::with_capacity(self.realloc.live_count());
+        self.realloc
+            .for_each_live(&mut |id, e| extents.push((id, e)));
+        extents.sort_unstable_by_key(|&(id, _)| id);
         extents
     }
 
@@ -707,10 +673,10 @@ impl ShardWorker {
         let base = self.requests;
         self.requests += reqs.len() as u64;
         let plan = {
-            let live = &self.live;
             let realloc = &*self.realloc;
             BatchPlan::build(&reqs, |id| {
-                live.contains(&id)
+                realloc
+                    .is_live(id)
                     .then(|| realloc.extent_of(id).map_or(0, |e| e.len))
             })
         };
@@ -748,14 +714,6 @@ impl ShardWorker {
         };
         match result {
             Ok(outcome) => {
-                match req {
-                    Request::Insert { id, .. } => {
-                        self.live.insert(id);
-                    }
-                    Request::Delete { id } => {
-                        self.live.remove(&id);
-                    }
-                }
                 self.absorb(allocated, &outcome, SimLane::Serve);
                 self.observe_space();
             }
@@ -778,7 +736,6 @@ impl ShardWorker {
         let payload = self.substrate.as_mut().and_then(|s| s.release(id));
         match self.realloc.delete(id) {
             Ok(outcome) => {
-                self.live.remove(&id);
                 self.absorb(None, &outcome, SimLane::Migrate);
                 // The departure is journaled under the transfer's sequence
                 // number so recovery can pair it with the target's
@@ -839,7 +796,6 @@ impl ShardWorker {
         }
         match self.realloc.insert(id, size) {
             Ok(outcome) => {
-                self.live.insert(id);
                 self.journal_arrival(&outcome.ops, id, payload.as_ref(), xfer);
                 self.replay_arrival(&outcome.ops, id, payload.as_ref());
                 self.costs.record_move(size);

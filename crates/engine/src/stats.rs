@@ -74,7 +74,7 @@ pub struct ShardStats {
     pub wal_records: u64,
     /// Frame bytes this shard's WAL has written (headers included).
     pub wal_bytes: u64,
-    /// Group commits (framed fsyncs) this shard's WAL has performed — the
+    /// Group commits (framed log writes) this shard's WAL has performed — the
     /// commit-coalescing counter: `wal_records / group_commits` is the
     /// batch's amortization factor, and
     /// [`DeviceModel::time_of_commit`](storage_sim::DeviceModel::time_of_commit)
@@ -297,7 +297,7 @@ impl EngineStats {
         self.per_shard.iter().map(|s| s.wal_bytes).sum()
     }
 
-    /// Total group commits (framed fsyncs) across shards. With group
+    /// Total group commits (framed log writes) across shards. With group
     /// commit, many records share one frame:
     /// `wal_records() / group_commits()` is the fleet's amortization
     /// factor.

@@ -17,6 +17,14 @@ use realloc_common::{Extent, ObjectId, StorageOp};
 
 use crate::store::{AddressWindow, Mode, SimStore, Violation};
 
+/// FNV-1a offset basis: the hash of the empty input.
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// One FNV-1a step.
+fn fnv_step(hash: u64, byte: u8) -> u64 {
+    (hash ^ u64::from(byte)).wrapping_mul(0x100000001b3)
+}
+
 /// FNV-1a over a byte slice — the workspace's object-content checksum.
 ///
 /// This is what [`DataStore`] registers at allocation, what
@@ -24,12 +32,7 @@ use crate::store::{AddressWindow, Mode, SimStore, Violation};
 /// ships alongside its payload so the receiver can prove the bytes arrived
 /// intact (see [`DataStore::adopt`]).
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
+    bytes.iter().fold(FNV_OFFSET, |hash, &b| fnv_step(hash, b))
 }
 
 /// The verification value for a cross-address-space transfer expected to
@@ -44,19 +47,29 @@ pub fn transfer_checksum(bytes: &[u8], expected_len: u64) -> u64 {
     checksum(bytes) ^ (bytes.len() as u64 ^ expected_len)
 }
 
+/// The bytes of [`pattern_for`], generated lazily.
+fn pattern_bytes(id: ObjectId, len: u64) -> impl Iterator<Item = u8> {
+    let mut state = id.0.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(len);
+    (0..len).map(move |_| {
+        // xorshift64* — cheap, well-distributed test data.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state & 0xff) as u8
+    })
+}
+
 /// Deterministic content for an object: a byte pattern derived from its id,
 /// different for every (id, length) pair.
 pub fn pattern_for(id: ObjectId, len: u64) -> Vec<u8> {
-    let mut state = id.0.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(len);
-    (0..len)
-        .map(|_| {
-            // xorshift64* — cheap, well-distributed test data.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state & 0xff) as u8
-        })
-        .collect()
+    pattern_bytes(id, len).collect()
+}
+
+/// The digest of an object's deterministic content:
+/// `checksum(&pattern_for(id, len))`, computed without materializing the
+/// pattern. Every journaled and checkpointed digest is this value.
+pub fn pattern_checksum(id: ObjectId, len: u64) -> u64 {
+    pattern_bytes(id, len).fold(FNV_OFFSET, fnv_step)
 }
 
 /// Outcome of a crash with byte-level verification.
@@ -179,9 +192,12 @@ impl DataStore {
         self.rules.apply(op)?;
         match *op {
             StorageOp::Allocate { id, to } => {
-                let bytes = pattern_for(id, to.len);
-                self.checksums.insert(id, checksum(&bytes));
-                self.write(to, &bytes);
+                self.ensure_capacity(to.end());
+                let cells = &mut self.cells[to.offset as usize..to.end() as usize];
+                for (cell, byte) in cells.iter_mut().zip(pattern_bytes(id, to.len)) {
+                    *cell = byte;
+                }
+                self.checksums.insert(id, checksum(cells));
             }
             StorageOp::Move { from, to, .. } => {
                 // memmove semantics: correct even for self-overlapping
@@ -304,12 +320,30 @@ impl DataStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn id(n: u64) -> ObjectId {
         ObjectId(n)
     }
     fn ext(o: u64, l: u64) -> Extent {
         Extent::new(o, l)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The allocation-free digest is the digest of the materialized
+        /// pattern, at every length including 0.
+        #[test]
+        fn pattern_checksum_matches_checksum_of_pattern(
+            raw in 0u64..=u64::MAX,
+            len in prop_oneof![1 => Just(0u64), 7 => 0u64..=4096],
+        ) {
+            prop_assert_eq!(
+                pattern_checksum(id(raw), len),
+                checksum(&pattern_for(id(raw), len))
+            );
+        }
     }
 
     #[test]

@@ -5,10 +5,18 @@
 //! op (allocations, flush copies, frees, cross-shard transfers) and every
 //! route flip, buffering records in memory and writing them as **one framed
 //! group commit per command boundary** — the WAL analogue of the engine's
-//! channel batching, and the reason a WAL'd shard pays one fsync per batch
-//! instead of one per op. Records that were appended but never committed
-//! are exactly the work a crash is allowed to lose; everything inside a
-//! committed frame is recovered.
+//! channel batching, and the reason a WAL'd shard pays one log write per
+//! batch instead of one per op. Records that were appended but never
+//! committed are exactly the work a crash is allowed to lose; everything
+//! inside a committed frame is recovered.
+//!
+//! ## Durability
+//!
+//! A commit `write`s its frame through the writer's one open handle and
+//! returns; nothing calls `fsync`. A committed frame therefore survives
+//! the death of the process (the kernel owns the bytes), but not a power
+//! loss or kernel crash, which can drop whatever the page cache had not
+//! yet written back. Checkpoints give the same guarantee.
 //!
 //! ## Frame format
 //!
@@ -40,7 +48,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use realloc_common::ObjectId;
+use realloc_common::{Extent, ObjectId, StorageOp};
 
 /// Frame magic: `b"WAL1"`.
 const WAL_MAGIC: u32 = u32::from_le_bytes(*b"WAL1");
@@ -52,6 +60,7 @@ const FRAME_HEADER: usize = 4 + 4 + 4 + 8;
 /// Frame CRC: the workspace's standard content hash (FNV-1a), shared with
 /// the substrate's object checksums.
 use crate::data::checksum as fnv1a;
+use crate::data::pattern_checksum;
 
 /// One journaled event. Everything a shard does that affects durable state
 /// maps to exactly one record; replaying the committed records over the
@@ -126,6 +135,34 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
+    /// The record journaling one physical op (`None` for a checkpoint
+    /// barrier, which changes no durable state). The log stores digests,
+    /// not payloads: an allocated object's bytes are always
+    /// [`pattern_for`](crate::pattern_for)`(id, len)`, so recovery can
+    /// regenerate the content and prove it against the digest.
+    pub fn of_op(op: &StorageOp) -> Option<WalRecord> {
+        Some(match *op {
+            StorageOp::Allocate { id, to } => WalRecord::Allocate {
+                id,
+                offset: to.offset,
+                len: to.len,
+                digest: pattern_checksum(id, to.len),
+            },
+            StorageOp::Move { id, from, to } => WalRecord::Move {
+                id,
+                from: from.offset,
+                to: to.offset,
+                len: to.len,
+            },
+            StorageOp::Free { id, at } => WalRecord::Free {
+                id,
+                offset: at.offset,
+                len: at.len,
+            },
+            StorageOp::CheckpointBarrier => return None,
+        })
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         let mut put = |tag: u8, fields: &[u64]| {
             out.push(tag);
@@ -216,7 +253,9 @@ pub fn checkpoint_path(dir: &Path, shard: usize) -> PathBuf {
 /// [`commit`](Self::commit) writes everything buffered as one frame.
 #[derive(Debug)]
 pub struct WalWriter {
-    path: PathBuf,
+    /// The log, opened once for appending; every commit and truncation
+    /// goes through this handle.
+    file: File,
     epoch: u32,
     pending: Vec<WalRecord>,
     records: u64,
@@ -239,7 +278,7 @@ impl WalWriter {
             file.set_len(intact)?;
         }
         Ok(WalWriter {
-            path: path.to_path_buf(),
+            file,
             epoch,
             pending: Vec::new(),
             records: 0,
@@ -254,9 +293,9 @@ impl WalWriter {
         self.pending.push(record);
     }
 
-    /// Writes every buffered record as one framed group commit and flushes.
-    /// Returns the frame bytes written (0 if nothing was pending — an empty
-    /// batch costs no I/O).
+    /// Writes every buffered record as one framed group commit (no fsync —
+    /// see the module docs on durability). Returns the frame bytes written
+    /// (0 if nothing was pending — an empty batch costs no I/O).
     pub fn commit(&mut self) -> std::io::Result<u64> {
         if self.pending.is_empty() {
             return Ok(0);
@@ -272,9 +311,7 @@ impl WalWriter {
         frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
 
-        let mut file = OpenOptions::new().append(true).open(&self.path)?;
-        file.write_all(&frame)?;
-        file.flush()?;
+        self.file.write_all(&frame)?;
 
         self.records += self.pending.len() as u64;
         self.bytes += frame.len() as u64;
@@ -284,13 +321,11 @@ impl WalWriter {
     }
 
     /// Truncates the log and advances the writer to `epoch` — call only
-    /// *after* the checkpoint carrying `epoch` is durably renamed.
+    /// *after* the checkpoint carrying `epoch` is renamed into place. The
+    /// handle appends, so the next commit lands at offset 0.
     pub fn truncate_to_epoch(&mut self, epoch: u32) -> std::io::Result<()> {
         debug_assert!(self.pending.is_empty(), "commit before checkpointing");
-        OpenOptions::new()
-            .write(true)
-            .truncate(true)
-            .open(&self.path)?;
+        self.file.set_len(0)?;
         self.epoch = epoch;
         Ok(())
     }
@@ -415,6 +450,20 @@ pub struct CheckpointEntry {
     pub assigned: bool,
 }
 
+impl CheckpointEntry {
+    /// The entry for live object `id` placed at `at`, its digest that of
+    /// its deterministic content ([`pattern_checksum`]).
+    pub fn new(id: ObjectId, at: Extent, assigned: bool) -> CheckpointEntry {
+        CheckpointEntry {
+            id,
+            offset: at.offset,
+            len: at.len,
+            digest: pattern_checksum(id, at.len),
+            assigned,
+        }
+    }
+}
+
 /// A shard's durable state at a quiesce barrier.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Checkpoint {
@@ -425,8 +474,9 @@ pub struct Checkpoint {
     pub entries: Vec<CheckpointEntry>,
 }
 
-/// Writes `ckpt` to `path` atomically (temp file + rename), so a crash
-/// mid-checkpoint leaves the previous checkpoint intact.
+/// Writes `ckpt` to `path` atomically (temp file + rename), so a killed
+/// process mid-checkpoint leaves the previous checkpoint intact. Like a
+/// log commit it does not fsync (see the module docs on durability).
 pub fn write_checkpoint(path: &Path, ckpt: &Checkpoint) -> std::io::Result<()> {
     let mut payload = Vec::with_capacity(ckpt.entries.len() * 33);
     for e in &ckpt.entries {
@@ -446,7 +496,6 @@ pub fn write_checkpoint(path: &Path, ckpt: &Checkpoint) -> std::io::Result<()> {
     let tmp = path.with_extension("ckpt.tmp");
     let mut file = File::create(&tmp)?;
     file.write_all(&bytes)?;
-    file.flush()?;
     std::fs::rename(&tmp, path)?;
     Ok(())
 }
@@ -733,15 +782,22 @@ mod tests {
         w.truncate_to_epoch(1).unwrap();
         assert_eq!(w.epoch(), 1);
         assert!(read_wal(&path).unwrap().is_empty());
-        w.append(WalRecord::Free {
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        // The same handle keeps appending: the next commit is the log's
+        // only frame, starting at offset 0 — no stale bytes before it.
+        let free = WalRecord::Free {
             id: ObjectId(1),
             offset: 0,
             len: 8,
-        });
-        w.commit().unwrap();
+        };
+        w.append(free);
+        let frame = w.commit().unwrap();
         let groups = read_wal(&path).unwrap();
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].epoch, 1);
+        assert_eq!(groups[0].records, vec![free]);
+        assert_eq!(groups[0].end_offset, frame);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), frame);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

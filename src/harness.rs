@@ -7,18 +7,16 @@
 //! driver, so an algorithm bug, an accounting bug, or a rules violation
 //! surfaces identically everywhere.
 
-use std::collections::HashSet;
 use std::path::Path;
 
-use realloc_common::{BoxedReallocator, Ledger, ObjectId, OpKind, Reallocator, StorageOp};
+use realloc_common::{BoxedReallocator, Ledger, OpKind, Reallocator};
 use realloc_core::{
     CheckpointedReallocator, CostObliviousReallocator, DeamortizedReallocator,
     NearlyQuadraticReallocator,
 };
 use storage_sim::wal::{checkpoint_path, wal_path, write_checkpoint};
 use storage_sim::{
-    checksum, pattern_for, Checkpoint, CheckpointEntry, DataStore, Mode, SimStore, Violation,
-    WalRecord, WalWriter,
+    Checkpoint, CheckpointEntry, DataStore, Mode, SimStore, Violation, WalRecord, WalWriter,
 };
 use workload_gen::{Request, Workload};
 
@@ -231,42 +229,6 @@ impl Replay {
     }
 }
 
-/// The harness's single-instance journal: one WAL, one group commit per
-/// request, one closing checkpoint — the unsharded analogue of the
-/// engine's per-shard durability (it writes shard 0's file names, so the
-/// same readers fold either).
-struct HarnessJournal {
-    writer: WalWriter,
-    live: HashSet<ObjectId>,
-}
-
-impl HarnessJournal {
-    fn append_ops(&mut self, ops: &[StorageOp]) {
-        for op in ops {
-            match *op {
-                StorageOp::Allocate { id, to } => self.writer.append(WalRecord::Allocate {
-                    id,
-                    offset: to.offset,
-                    len: to.len,
-                    digest: checksum(&pattern_for(id, to.len)),
-                }),
-                StorageOp::Move { id, from, to } => self.writer.append(WalRecord::Move {
-                    id,
-                    from: from.offset,
-                    to: to.offset,
-                    len: to.len,
-                }),
-                StorageOp::Free { id, at } => self.writer.append(WalRecord::Free {
-                    id,
-                    offset: at.offset,
-                    len: at.len,
-                }),
-                StorageOp::CheckpointBarrier => {}
-            }
-        }
-    }
-}
-
 /// Runs `workload` through `realloc` under `config`.
 pub fn run_workload(
     realloc: &mut dyn Reallocator,
@@ -276,12 +238,13 @@ pub fn run_workload(
     run_workload_inner(realloc, workload, config, None)
 }
 
-/// [`run_workload`] with durability: every request's physical ops are
-/// journaled into a write-ahead log under `wal_dir` (shard 0's file names,
-/// so the engine's recovery readers fold it identically) and group-
-/// committed once per request; the run closes with a checkpoint of the
-/// final live layout and truncates the log. A crash mid-run leaves a
-/// replayable log; a completed run leaves a checkpoint that subsumes it.
+/// [`run_workload`] with durability — the unsharded analogue of the
+/// engine's per-shard journal: every request's physical ops are journaled
+/// into a write-ahead log under `wal_dir` (shard 0's file names, so the
+/// engine's recovery readers fold it identically) and group-committed once
+/// per request; the run closes with a checkpoint of the final live layout
+/// and truncates the log. A crash mid-run leaves a replayable log; a
+/// completed run leaves a checkpoint that subsumes it.
 pub fn run_workload_with_wal(
     realloc: &mut dyn Reallocator,
     workload: &Workload,
@@ -289,29 +252,15 @@ pub fn run_workload_with_wal(
     wal_dir: &Path,
 ) -> Result<RunResult, RunError> {
     std::fs::create_dir_all(wal_dir).map_err(|e| RunError::Wal(0, e))?;
-    let writer = WalWriter::open(&wal_path(wal_dir, 0), 0).map_err(|e| RunError::Wal(0, e))?;
-    let mut journal = HarnessJournal {
-        writer,
-        live: HashSet::new(),
-    };
-    let result = run_workload_inner(realloc, workload, config, Some(&mut journal))?;
+    let mut writer = WalWriter::open(&wal_path(wal_dir, 0), 0).map_err(|e| RunError::Wal(0, e))?;
+    let result = run_workload_inner(realloc, workload, config, Some(&mut writer))?;
     let last = workload.len().saturating_sub(1);
-    let mut entries: Vec<CheckpointEntry> = journal
-        .live
-        .iter()
-        .filter_map(|&id| realloc.extent_of(id).map(|e| (id, e)))
-        .map(|(id, e)| CheckpointEntry {
-            id,
-            offset: e.offset,
-            len: e.len,
-            digest: checksum(&pattern_for(id, e.len)),
-            assigned: false,
-        })
-        .collect();
-    entries.sort_by_key(|e| e.id);
-    let epoch = journal.writer.epoch() + 1;
+    let mut entries = Vec::with_capacity(realloc.live_count());
+    realloc.for_each_live(&mut |id, e| entries.push(CheckpointEntry::new(id, e, false)));
+    entries.sort_unstable_by_key(|e| e.id);
+    let epoch = writer.epoch() + 1;
     write_checkpoint(&checkpoint_path(wal_dir, 0), &Checkpoint { epoch, entries })
-        .and_then(|()| journal.writer.truncate_to_epoch(epoch))
+        .and_then(|()| writer.truncate_to_epoch(epoch))
         .map_err(|e| RunError::Wal(last, e))?;
     Ok(result)
 }
@@ -320,7 +269,7 @@ fn run_workload_inner(
     realloc: &mut dyn Reallocator,
     workload: &Workload,
     config: RunConfig,
-    mut journal: Option<&mut HarnessJournal>,
+    mut journal: Option<&mut WalWriter>,
 ) -> Result<RunResult, RunError> {
     let mut ledger = Ledger::new();
     let mut replay = Replay::new(&config);
@@ -341,19 +290,13 @@ fn run_workload_inner(
         };
 
         if let Some(journal) = journal.as_deref_mut() {
-            match *req {
-                Request::Insert { id, .. } => {
-                    journal.live.insert(id);
-                }
-                Request::Delete { id } => {
-                    journal.live.remove(&id);
-                }
+            for record in outcome.ops.iter().filter_map(WalRecord::of_op) {
+                journal.append(record);
             }
-            journal.append_ops(&outcome.ops);
             // One group commit per request: the request's whole op group
             // (the allocate/delete plus any flush moves it triggered)
             // becomes durable in a single frame.
-            journal.writer.commit().map_err(|e| RunError::Wal(i, e))?;
+            journal.commit().map_err(|e| RunError::Wal(i, e))?;
         }
 
         if let Some(replay) = replay.as_mut() {
@@ -398,7 +341,9 @@ fn run_workload_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use realloc_common::ObjectId;
     use realloc_core::{CheckpointedReallocator, CostObliviousReallocator};
+    use storage_sim::{checksum, pattern_for};
     use workload_gen::churn::{churn, ChurnConfig};
     use workload_gen::dist::SizeDist;
 

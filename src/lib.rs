@@ -72,6 +72,8 @@ pub mod prelude {
     pub use crate::harness::{
         build_variant, run_workload, variant_is_strict_safe, RunConfig, RunResult, VARIANTS,
     };
-    pub use crate::sim::{checksum, pattern_for, AddressWindow, DataStore, Mode, SimStore};
+    pub use crate::sim::{
+        checksum, pattern_checksum, pattern_for, AddressWindow, DataStore, Mode, SimStore,
+    };
     pub use crate::workloads::{Request, Workload};
 }

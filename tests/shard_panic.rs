@@ -45,6 +45,12 @@ impl Reallocator for PanicsOnFifthInsert {
     fn extent_of(&self, id: ObjectId) -> Option<Extent> {
         self.inner.extent_of(id)
     }
+    fn is_live(&self, id: ObjectId) -> bool {
+        self.inner.is_live(id)
+    }
+    fn for_each_live(&self, f: &mut dyn FnMut(ObjectId, Extent)) {
+        self.inner.for_each_live(f)
+    }
     fn live_volume(&self) -> u64 {
         self.inner.live_volume()
     }
